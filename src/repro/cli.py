@@ -618,6 +618,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.backends import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="treesched: scheduling in bandwidth-constrained tree networks",
@@ -640,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--backend",
-        choices=("python", "numpy", "c"),
+        choices=BACKENDS,
         default=None,
         help="engine backend (default: REPRO_BACKEND env var, else python)",
     )
@@ -866,9 +868,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--backends",
         action="store_true",
-        help="also replay every case on the vectorised numpy backend "
-        "(and, where available and applicable, the compiled c kernel) "
-        "and require agreement with the reference engine",
+        help="also replay every case the compiled c kernel can plan "
+        "(where a C compiler is available) and require agreement with "
+        "the reference engine",
     )
     p_fuzz.add_argument(
         "--events",
@@ -909,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--speed", type=float, default=1.0)
     p_serve.add_argument(
         "--backend",
-        choices=("python", "numpy", "c"),
+        choices=BACKENDS,
         default=None,
         help="resolved like run --backend; streaming always executes on "
         "the python engine (warns if another backend is selected)",

@@ -44,7 +44,8 @@ def path_is_blocked(tree, leaf: int, downs, origin: int) -> bool:
 
     Down-aware policies use this to drop candidate leaves whose queue
     would stall behind a breakdown; it is a pure function of the static
-    tree and the down set, so both backends filter identically.
+    tree and the down set, which the compiled kernel re-evaluates over
+    its path table.
     """
     root = tree.root
     v = leaf
@@ -64,7 +65,7 @@ def _downed_nodes(view) -> "frozenset[int] | None":
 
 def _filter_branch_records(tree, records, downs, origin):
     """Restrict per-branch greedy records to leaves whose path avoids
-    ``downs``.  Returns ``(records, tops)`` or ``None`` when the down
+    ``downs``.  Returns the filtered records, or ``None`` when the down
     set touches no candidate (nothing to do) or excludes every leaf
     (the policy falls back to the unfiltered set — dispatch must still
     produce a leaf; the job simply stalls en route until the repair).
@@ -88,7 +89,7 @@ def _filter_branch_records(tree, records, downs, origin):
         out.append((entry, keep, ms, msl, ml))
     if not changed or not out:
         return None
-    return tuple(out), tuple(rec[0] for rec in out)
+    return tuple(out)
 
 
 class GreedyIdenticalAssignment:
@@ -120,8 +121,6 @@ class GreedyIdenticalAssignment:
         self._layout: dict[
             int, tuple[tuple[int, tuple[tuple[int, int], ...], int, int, int], ...]
         ] = {}
-        # origin -> tuple of entry node ids, for the batched F hook
-        self._tops: dict[int, tuple[int, ...]] = {}
 
     @property
     def last_scores(self) -> dict[int, float] | None:
@@ -166,7 +165,6 @@ class GreedyIdenticalAssignment:
                 records.append((entry, leaves, min_steps, min_steps_leaf, min_leaf))
             layout = tuple(records)
             self._layout[origin] = layout
-            self._tops[origin] = tuple(rec[0] for rec in records)
         return layout
 
     def assign(self, view: SchedulerView, job: Job, now: float) -> int:
@@ -180,19 +178,12 @@ class GreedyIdenticalAssignment:
         best_score = math.inf
         weight_p = self.weight * job.size
         records = self._entries_for(view, origin)
-        tops = self._tops[origin]
         downs = _downed_nodes(view)
         if downs:
             filtered = _filter_branch_records(tree, records, downs, origin)
             if filtered is not None:
-                records, tops = filtered
-        # Batched F evaluation when the view offers it (the numpy
-        # kernel's hook); scores are bit-identical to the per-entry
-        # form, just one amortised call instead of len(records).
-        hook = getattr(view, "_f_top_values", None)
-        bases = hook(job, tops) if hook is not None else None
-        if bases is None:
-            bases = [f_top_value(view, job, rec[0]) for rec in records]
+                records = filtered
+        bases = [f_top_value(view, job, rec[0]) for rec in records]
         if weight_p > 0.0:
             # score is strictly increasing in steps, so the branch
             # argmin by (score, leaf) is the (steps, leaf)-minimum.
@@ -240,7 +231,6 @@ class GreedyUnrelatedAssignment:
         self._layout: dict[
             int, tuple[tuple[int, tuple[tuple[int, int], ...], int, int, int], ...]
         ] = {}
-        self._tops: dict[int, tuple[int, ...]] = {}
 
     last_scores = GreedyIdenticalAssignment.last_scores
     _entries_for = GreedyIdenticalAssignment._entries_for

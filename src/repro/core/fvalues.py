@@ -61,39 +61,31 @@ def f_top_value(view: SchedulerView, job: Job, top: int) -> float:
     """
     p_j = job.size
     total = p_j  # J_j's own contribution to S_{top,j}
-    hook = getattr(view, "_f_top_value", None)
-    if hook is not None:
-        # Alternate-backend view: its own fast path, or None to defer
-        # to the generic public-method form below.
-        value = hook(job, top)
-        if value is not None:
-            return value
-    else:
-        eng = view._engine
-        ns = eng._nodes.get(top)
-        if ns is not None and top in eng._root_adjacent:
-            # Hot path: Q_top is exactly the queue at top (nothing
-            # upstream of the first hop), held in the node's heap.
-            states = eng._states
-            r_j = job.release
-            id_j = job.id
-            is_leaf = ns.is_leaf
-            active_id = ns.active_id
-            for _, jid in ns.heap:
-                st = states[jid]
-                other = st.job
-                p_i = st.leaf_time if is_leaf else other.size
-                if (p_i, other.release, other.id) < (p_j, r_j, id_j):
-                    if jid == active_id:
-                        rem = ns.active_rem_start - ns.speed * (
-                            eng.now - ns.active_started
-                        )
-                        total += rem if rem > 0.0 else 0.0
-                    else:
-                        total += st.remaining
-                elif p_i > p_j:
-                    total += p_j
-            return total
+    eng = view._engine
+    ns = eng._nodes.get(top)
+    if ns is not None and top in eng._root_adjacent:
+        # Hot path: Q_top is exactly the queue at top (nothing upstream
+        # of the first hop), held in the node's heap.
+        states = eng._states
+        r_j = job.release
+        id_j = job.id
+        is_leaf = ns.is_leaf
+        active_id = ns.active_id
+        for _, jid in ns.heap:
+            st = states[jid]
+            other = st.job
+            p_i = st.leaf_time if is_leaf else other.size
+            if (p_i, other.release, other.id) < (p_j, r_j, id_j):
+                if jid == active_id:
+                    rem = ns.active_rem_start - ns.speed * (
+                        eng.now - ns.active_started
+                    )
+                    total += rem if rem > 0.0 else 0.0
+                else:
+                    total += st.remaining
+            elif p_i > p_j:
+                total += p_j
+        return total
     # General form — arbitrary interior nodes (the origin extension).
     instance = view.instance
     for jid in view.jobs_through(top):
@@ -120,15 +112,8 @@ def f_prime_value(view: SchedulerView, job: Job, leaf: int) -> float:
     over the alive jobs assigned to leaf ``v``; includes ``J_j``'s own
     ``p_{j,v}``.
     """
-    hook = getattr(view, "_f_prime_value", None)
-    if hook is not None:
-        value = hook(job, leaf)
-        if value is not None:
-            return value
-        alive_here = None  # defer to the generic scan below
-    else:
-        eng = view._engine
-        alive_here = eng._alive_at_leaf.get(leaf)
+    eng = view._engine
+    alive_here = eng._alive_at_leaf.get(leaf)
     if alive_here is None:
         # Non-leaf input: keep the generic (scan-based) definition.
         instance = view.instance

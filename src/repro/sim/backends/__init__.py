@@ -4,27 +4,20 @@ The selectable engine backends:
 
 * ``"python"`` — the reference :class:`~repro.sim.engine.Engine`: one
   global event heap, per-event observer/tracer/counter hooks, bounded
-  horizons.  Always available; always correct.
-* ``"numpy"`` — the structure-of-arrays kernel
-  (:mod:`repro.sim.backends.numpy_backend`): batch-precomputed job
-  columns, int-encoded priority heaps, lazily-synced per-node sweeps.
-  Several times faster on event-dense workloads, but it has no global
-  event order, so options defined in terms of one (``observer``,
-  ``tracer``, ``until``, engine counters) silently fall back to the
-  python engine — results are equivalent either way, only the execution
-  strategy differs.
+  horizons, streaming.  Always available; always correct.
 * ``"c"`` — the compiled kernel (:mod:`repro.sim.backends.c_backend`):
-  the numpy backend's event loop transliterated to C, built on demand
-  from shipped source by :mod:`repro.sim.backends.c_build` and driven
-  via ctypes.  Another ~3x over numpy, bit-identical output.  Optional:
-  with no working compiler (or ``REPRO_NO_CKERNEL=1``) the backend is
-  *unavailable* — requesting it explicitly raises, selecting it through
-  the environment falls back to ``"python"`` with a warning.  Calls the
-  kernel cannot express (generic priorities, custom policies, segment
-  recording) transparently run on the numpy backend; event-order
-  options fall back to the python engine as above.
-
-Three implementations of the Section-2 semantics, one call surface.
+  the same Section-2 semantics, dynamic events included, replayed with
+  lazily-synced per-node sweeps, built on demand from shipped source by
+  :mod:`repro.sim.backends.c_build` and driven via ctypes; its records
+  are bit-identical to the python engine's.  Optional: with no working
+  compiler (or ``REPRO_NO_CKERNEL=1``) the backend is *unavailable* —
+  requesting it explicitly raises, selecting it through the
+  environment falls back to ``"python"`` with a warning.  A call the
+  kernel cannot plan (generic priorities, custom policies, per-leaf
+  greedy or least-loaded, segment recording) or one asking for an
+  option defined by the global event order (``observer``, ``tracer``,
+  ``until``, engine counters) runs on the python engine — the schedule
+  is the same either way, only the execution strategy differs.
 
 Selection: one resolver, :func:`select_backend`, shared by
 :func:`simulate`, :func:`repro.api.simulate`,
@@ -49,7 +42,6 @@ from repro.exceptions import SimulationError
 from repro.sim import engine as _engine
 from repro.sim.backends import c_build
 from repro.sim.backends.c_backend import CEngine, simulate_c
-from repro.sim.backends.numpy_backend import NumpyEngine, NumpyView, simulate_numpy
 from repro.sim.counters import global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
@@ -67,33 +59,17 @@ __all__ = [
     "BackendChoice",
     "available_backends",
     "backend_available",
-    "resolve_backend",
     "select_backend",
     "simulate",
     "CEngine",
-    "NumpyEngine",
-    "NumpyView",
-    "simulate_numpy",
     "simulate_c",
 ]
 
 #: The selectable engine backends.
-BACKENDS = ("python", "numpy", "c")
+BACKENDS = ("python", "c")
 
 #: Environment variable holding the default backend name.
 ENV_VAR = "REPRO_BACKEND"
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """The effective backend name: explicit argument, else the
-    ``REPRO_BACKEND`` environment variable, else ``"python"``."""
-    if backend is None:
-        backend = os.environ.get(ENV_VAR) or "python"
-    if backend not in BACKENDS:
-        raise SimulationError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,8 +142,8 @@ def select_backend(backend: str | None = None) -> BackendChoice:
 def backend_available(backend: str) -> tuple[bool, str | None]:
     """``(available, reason-if-not)`` for a backend name.
 
-    ``python`` and ``numpy`` are always available; ``c`` requires a
-    working C compiler (probed — and the kernel built — on first ask).
+    ``python`` is always available; ``c`` requires a working C
+    compiler (probed — and the kernel built — on first ask).
     """
     if backend not in BACKENDS:
         raise SimulationError(
@@ -183,23 +159,20 @@ def available_backends() -> tuple[str, ...]:
     return tuple(b for b in BACKENDS if backend_available(b)[0])
 
 
-def _numpy_applicable(
+def _needs_event_order(
     observer: object,
     tracer: object,
     until: float | None,
     collect_counters: bool | None,
 ) -> bool:
-    """Whether the numpy kernel can serve this call (see module doc)."""
+    """Whether the call asks for an option defined by the python
+    engine's global event order (see module doc)."""
     if observer is not None or tracer is not None or until is not None:
-        return False
-    if collect_counters or (collect_counters is None and global_counters() is not None):
-        return False
-    return True
-
-
-#: One-shot flag: the C-kernel dynamic-events fallback warns once per
-#: process, not once per call (event-bearing sweeps run thousands).
-_warned_c_events = False
+        return True
+    return bool(
+        collect_counters
+        or (collect_counters is None and global_counters() is not None)
+    )
 
 
 def simulate(
@@ -219,14 +192,12 @@ def simulate(
 ) -> SimulationResult:
     """Simulate on the selected backend.
 
-    Accepts the full engine option surface; when ``backend="numpy"`` or
-    ``backend="c"`` is combined with an option the kernels cannot honour
-    (observer, tracer, ``until``, counters), the call transparently runs
-    on the python engine instead — the schedule is the same either way.
-    A dynamic-event schedule (``events=``) is honoured by the python
-    and numpy backends natively; the C kernel cannot express it, so
-    ``backend="c"`` with events falls back to the numpy backend with a
-    once-per-process :class:`RuntimeWarning`.
+    Accepts the full engine option surface; when ``backend="c"`` is
+    combined with an option the kernel cannot honour (observer, tracer,
+    ``until``, counters) or with a call it cannot plan, the call runs on
+    the python engine instead — the schedule is the same either way.
+    Both backends honour a dynamic-event schedule (``events=``)
+    natively.
 
     Selection and the unavailable-backend policy (explicit request
     raises, environment selection warns and falls back) live in
@@ -234,34 +205,10 @@ def simulate(
     :func:`repro.api.open_system` and the CLI.
     """
     backend = select_backend(backend).effective
-    if backend == "c" and events is not None and len(events):
-        global _warned_c_events
-        if not _warned_c_events:
-            _warned_c_events = True
-            warnings.warn(
-                "backend='c' cannot run dynamic events (outages/"
-                "cancellations); falling back to the numpy backend for "
-                "event-bearing runs",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        backend = "numpy"
-    if backend == "c" and _numpy_applicable(
+    if backend == "c" and not _needs_event_order(
         observer, tracer, until, collect_counters
     ):
         return simulate_c(
-            instance,
-            policy,
-            speeds=speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    if backend == "numpy" and _numpy_applicable(
-        observer, tracer, until, collect_counters
-    ):
-        return simulate_numpy(
             instance,
             policy,
             speeds=speeds,

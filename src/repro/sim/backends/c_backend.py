@@ -6,27 +6,29 @@ the contract:
 
 * **Plan** — decide whether a simulation is *expressible* as one kernel
   call.  The kernel natively replays the built-in priorities (SJF /
-  FIFO) and three policy shapes: statically-decidable assignments
-  (closest / random / round-robin / fixed — their choices depend only
-  on the instance, so they are precomputed by calling the real policy
-  object once per arrival, consuming its RNG/counter state exactly as a
-  live run would), the paper's greedy-identical rule, and the
-  least-loaded baseline.  Anything else — generic priority callables,
-  policies with dynamic state the kernel does not model, per-leaf-size
-  greedy, origin-restricted greedy/least-loaded, segment recording —
-  raises :class:`CKernelInapplicable`, and :func:`simulate_c` falls
-  back to the numpy kernel (same schedule, slower execution).
+  FIFO), dynamic-event schedules (outages, repairs, cancellations),
+  size estimates, and three policy shapes: statically-decidable
+  assignments (closest / random / round-robin / fixed — their choices
+  depend only on the instance, so they are precomputed by calling the
+  real policy object once per arrival on the masked job, consuming its
+  RNG/counter state exactly as a live run would), the paper's
+  greedy-identical rule, and the least-loaded baseline (both
+  down-aware).  Anything else — generic priority callables, policies
+  with dynamic state the kernel does not model, per-leaf-size greedy
+  and least-loaded, origin-restricted greedy/least-loaded, segment
+  recording — raises :class:`CKernelInapplicable`, and
+  :func:`simulate_c` runs the python engine instead (same schedule,
+  slower execution).
 * **Marshal** — batch-precompute every input column as a numpy array
-  (the same ``np.lexsort`` ranks, finished-tolerances and preorder
-  topology the numpy backend builds), allocate every output buffer, and
-  hand the kernel one pointer-table struct (:class:`_KernelArgs`,
-  field-for-field the C ``KernelArgs``).
+  (``np.lexsort`` priority ranks, finished-tolerances, preorder
+  topology, and the event columns when the schedule is non-empty),
+  allocate every output buffer, and hand the kernel one pointer-table
+  struct (:class:`_KernelArgs`, field-for-field the C ``KernelArgs``).
 * **Assemble** — turn the output columns back into a
   :class:`~repro.sim.result.SimulationResult`, with the per-job flow
-  integrals summed in arrival order exactly as the reference engine
-  sums them.
+  integrals summed in arrival order.
 
-Parity with the python/numpy backends is exact (``==``), not
+Parity with the python engine's records is exact (``==``), not
 tolerance-based: the kernel replays the same float ops in the same
 order (see the C source header for the three rules), and the fuzz
 battery (``repro fuzz --backends``) plus ``tests/test_backends.py``
@@ -48,25 +50,28 @@ from repro.baselines.policies import (
     RoundRobinAssignment,
 )
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
+from repro.sim import engine as _engine
 from repro.sim.backends import c_build
-from repro.sim.backends.numpy_backend import simulate_numpy
 from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
 from repro.sim.result import JobRecord, SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
+from repro.workload.events import Cancel, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
 
 __all__ = ["CEngine", "CKernelInapplicable", "simulate_c"]
 
-_INF = math.inf
 
 #: Upper bound on ``n_jobs * n_nodes``: the kernel's per-node heap and
-#: pending buffers are dense (28 bytes/slot), so past this the numpy
-#: backend's per-node python lists are the better memory trade.
+#: pending buffers are dense (28 bytes/slot), so past this the python
+#: engine's per-node heaps are the better memory trade.
 _MAX_DENSE_SLOTS = 20_000_000
 
 #: Packed heap entries carry the job index in the low 32 bits.
 _MAX_JOBS = 1 << 30
+
+#: ``ev_kind`` codes of the kernel's dynamic-event columns.
+_EV_KIND = {NodeDown: 0, NodeUp: 1, Cancel: 2}
 
 _STATIC_POLICIES = (
     ClosestLeafAssignment,
@@ -98,6 +103,7 @@ class _KernelArgs(ctypes.Structure):
         ("n_tops", ctypes.c_int64),
         ("n_cands", ctypes.c_int64),
         ("n_paths", ctypes.c_int64),
+        ("n_dyn", ctypes.c_int64),
         ("weight", ctypes.c_double),
         ("chain_off", _i32p),
         ("chain_concat", _i32p),
@@ -109,6 +115,8 @@ class _KernelArgs(ctypes.Structure):
         ("path_concat", _i32p),
         ("rel", _f64p),
         ("size", _f64p),
+        ("p_est", _f64p),
+        ("job_id", _i64p),
         ("ftol_size", _f64p),
         ("rank", _i64p),
         ("leaf_rank", _i64p),
@@ -116,23 +124,26 @@ class _KernelArgs(ctypes.Structure):
         ("p_leaf_in", _f64p),
         ("ftol_leaf_in", _f64p),
         ("entry_ni", _i32p),
-        ("entry_min_steps", _f64p),
-        ("entry_tie_leaf_id", _i64p),
-        ("entry_tie_path", _i32p),
-        ("entry_min_leaf_id", _i64p),
-        ("entry_min_leaf_path", _i32p),
+        ("entry_leaf_off", _i32p),
+        ("entry_leaf_id", _i64p),
+        ("entry_leaf_steps", _f64p),
+        ("entry_leaf_path", _i32p),
         ("tops_ni", _i32p),
         ("cand_leaf_id", _i64p),
         ("cand_leaf_ni", _i32p),
         ("cand_top_pos", _i32p),
         ("cand_d", _f64p),
         ("cand_path", _i32p),
+        ("ev_time", _f64p),
+        ("ev_kind", _i32p),
+        ("ev_arg", _i32p),
         ("out_path_id", _i32p),
         ("out_avail", _f64p),
         ("out_avail_cnt", _i32p),
         ("out_comp", _f64p),
         ("out_comp_cnt", _i32p),
         ("out_deficit", _f64p),
+        ("out_cancel", _f64p),
         ("out_num_events", _i64p),
     ]
 
@@ -143,11 +154,12 @@ def _ptr(arr: np.ndarray, ctype):
 
 class _StaticView:
     """The view handed to statically-decidable policies during the
-    kind-0 precompute: arrival order and call count match a live run
-    exactly (one ``assign`` per job, in release order), so seeded RNGs
-    and round-robin counters advance identically — but only the static
-    surface (tree, instance, speeds) is exposed.  The plan gate admits
-    exactly the policy types that read nothing else."""
+    kind-0 precompute: arrival order, call count and the masked job
+    match a live run exactly (one ``assign`` per job, in release
+    order), so seeded RNGs and round-robin counters advance identically
+    — but only the static surface (tree, instance, speeds) is exposed.
+    The plan gate admits exactly the policy types that read nothing
+    else."""
 
     __slots__ = ("instance", "speeds", "now")
 
@@ -169,7 +181,7 @@ class CEngine:
 
     Construction plans and gates (raising :class:`CKernelInapplicable`
     when the kernel cannot express the call — the dispatcher then runs
-    the numpy backend instead) and :meth:`run` precomputes the input
+    the python engine instead) and :meth:`run` precomputes the input
     columns, invokes ``repro_run`` once, and assembles the result.
     """
 
@@ -194,16 +206,13 @@ class CEngine:
 
         if record_segments or check_invariants:
             raise CKernelInapplicable(
-                "segment recording / invariant checks need the numpy backend"
+                "segment recording / invariant checks need the python engine"
             )
         if events is not None and len(events):
-            raise CKernelInapplicable(
-                "dynamic events (outages/cancellations) need the numpy backend"
-            )
-        if any(j.size_estimate is not None for j in instance.jobs):
-            raise CKernelInapplicable(
-                "size estimates (masked assignment) need the numpy backend"
-            )
+            events.validate_for(instance)
+            self._dyn = events.events
+        else:
+            self._dyn = ()
         if priority is sjf_priority:
             self._prio_kind = 1
         elif priority is fifo_priority:
@@ -257,9 +266,8 @@ class CEngine:
         self._dll = c_build.load_kernel()
 
         # Static precompute — everything that does not consume policy
-        # state — happens here, mirroring NumpyEngine's construction
-        # split (run() keeps the policy replay, the kernel call and
-        # result assembly).
+        # state — happens here (run() keeps the policy replay, the
+        # kernel call and result assembly).
         (
             self._is_leaf_a, self._speed_a, self._chain_off_a,
             self._chain_concat_a, self._enc_a,
@@ -270,6 +278,14 @@ class CEngine:
         self._rel_a = rel
         self._size_a = size
         self._ids_a = ids
+        # Policies score the masked job: its size estimate when declared.
+        # Heap ranks, aggregates and records keep the true sizes.
+        if any(j.size_estimate is not None for j in jobs):
+            self._p_est_a = np.array(
+                [j.policy_size for j in jobs], dtype=np.float64
+            )
+        else:
+            self._p_est_a = size
         self._ftol_size_a = np.maximum(REMAINING_ATOL, REMAINING_RTOL * size)
         rank = np.empty(n, dtype=np.int64)
         if self._prio_kind == 2:
@@ -298,6 +314,7 @@ class CEngine:
                 self._weight = float(policy.weight)
             else:
                 self._ll_cols = self._precompute_least_loaded()
+        self._ev_cols = self._precompute_events() if self._dyn else None
 
     # ------------------------------------------------------------------
     # precompute
@@ -335,9 +352,9 @@ class CEngine:
         return is_leaf, speed, chain_off, chain_concat, enc
 
     def _leaf_ranks(self) -> np.ndarray:
-        """Leaf-heap order at unrelated-setting SJF leaves: the numpy
-        backend pushes ``(p_leaf, release, id)`` tuples; per-leaf heaps
-        never mix leaves, so one global rank orders each identically."""
+        """Leaf-heap order at unrelated-setting SJF leaves: the engine
+        pushes ``(p_leaf, release, id)`` keys; per-leaf heaps never mix
+        leaves, so one global rank orders each identically."""
         n = len(self._jobs)
         leaf_rank = np.empty(n, dtype=np.int64)
         leaf_rank[
@@ -361,8 +378,9 @@ class CEngine:
         return pid
 
     def _precompute_static(self, p_leaf, ftol_leaf, job_path_id):
-        """Kind 0: replay the policy per arrival against the static
-        view, validating exactly as the numpy backend's arrival path."""
+        """Kind 0: replay the policy per arrival (on the masked job)
+        against the static view, validating exactly as the engine's
+        arrival path."""
         instance = self.instance
         tree = instance.tree
         root = tree.root
@@ -371,7 +389,7 @@ class CEngine:
         policy = self.policy
         for i, job in enumerate(self._jobs):
             view.now = job.release
-            leaf = policy.assign(view, job, job.release)
+            leaf = policy.assign(view, job.masked(), job.release)
             origin = job.origin
             if origin is None or origin == root:
                 if leaf not in leaves:
@@ -411,34 +429,47 @@ class CEngine:
             ftol_leaf[i] = ft if ft > REMAINING_ATOL else REMAINING_ATOL
 
     def _precompute_greedy(self):
-        """Kind 1: the per-branch argmin records of
-        :meth:`GreedyIdenticalAssignment._entries_for` (root origin)."""
+        """Kind 1: the root-adjacent entries of
+        :meth:`GreedyIdenticalAssignment._entries_for` (root origin) and
+        every branch's ``(leaf, steps)`` pairs, from which the kernel
+        derives the per-branch argmin records — over the leaves an
+        outage leaves unblocked, when one does."""
         tree = self.instance.tree
         root = tree.root
         root_depth = tree.depth(root)
-        e_ni, e_steps, e_tie, e_tie_p, e_min, e_min_p = [], [], [], [], [], []
+        entries, off, ids, steps, pids = [], [0], [], [], []
         for entry in tree.children(root):
-            pairs = [
-                (leaf, tree.depth(leaf) - root_depth)
-                for leaf in tree.leaves_under(entry)
-            ]
-            min_steps, min_steps_leaf = min(
-                (steps, leaf) for leaf, steps in pairs
-            )
-            min_leaf = min(leaf for leaf, _ in pairs)
-            e_ni.append(self._ni_of[entry])
-            e_steps.append(float(min_steps))
-            e_tie.append(min_steps_leaf)
-            e_tie_p.append(self._leaf_path_id(min_steps_leaf))
-            e_min.append(min_leaf)
-            e_min_p.append(self._leaf_path_id(min_leaf))
+            entries.append(self._ni_of[entry])
+            for leaf in tree.leaves_under(entry):
+                ids.append(leaf)
+                steps.append(float(tree.depth(leaf) - root_depth))
+                pids.append(self._leaf_path_id(leaf))
+            off.append(len(ids))
         return (
-            np.array(e_ni, dtype=np.int32),
-            np.array(e_steps, dtype=np.float64),
-            np.array(e_tie, dtype=np.int64),
-            np.array(e_tie_p, dtype=np.int32),
-            np.array(e_min, dtype=np.int64),
-            np.array(e_min_p, dtype=np.int32),
+            np.array(entries, dtype=np.int32),
+            np.array(off, dtype=np.int32),
+            np.array(ids, dtype=np.int64),
+            np.array(steps, dtype=np.float64),
+            np.array(pids, dtype=np.int32),
+        )
+
+    def _precompute_events(self):
+        """The schedule as kernel columns: time, kind, and the dense
+        node index (outages) or job index (cancels; ``-1`` for ids the
+        instance never releases, which the kernel treats as no-ops)."""
+        ni_of = self._ni_of
+        idx_of = {jid: i for i, jid in enumerate(self._ids_a.tolist())}
+        kinds, args = [], []
+        for ev in self._dyn:
+            kinds.append(_EV_KIND[type(ev)])
+            if type(ev) is Cancel:
+                args.append(idx_of.get(ev.job_id, -1))
+            else:
+                args.append(ni_of[ev.node])
+        return (
+            np.array([ev.time for ev in self._dyn], dtype=np.float64),
+            np.array(kinds, dtype=np.int32),
+            np.array(args, dtype=np.int32),
         )
 
     def _precompute_least_loaded(self):
@@ -491,6 +522,7 @@ class CEngine:
         weight = self._weight
         e_cols = self._e_cols
         ll_cols = self._ll_cols
+        ev_cols = self._ev_cols
 
         if kind == 0:
             # The policy replay lives in run(), not construction: it
@@ -519,6 +551,7 @@ class CEngine:
         out_comp = np.zeros(n * max_path, dtype=np.float64)
         out_comp_cnt = np.zeros(n, dtype=np.int32)
         out_deficit = np.zeros(n, dtype=np.float64)
+        out_cancel = np.full(n, np.nan) if ev_cols else None
         out_num_events = np.zeros(1, dtype=np.int64)
         if kind == 0:
             # Every path was chosen statically; echo them so result
@@ -539,6 +572,7 @@ class CEngine:
             n_tops=len(ll_cols[0]) if ll_cols else 0,
             n_cands=len(ll_cols[1]) if ll_cols else 0,
             n_paths=len(self._paths),
+            n_dyn=len(self._dyn),
             weight=weight,
             chain_off=_ptr(chain_off, i32),
             chain_concat=_ptr(chain_concat, i32),
@@ -550,6 +584,8 @@ class CEngine:
             path_concat=_ptr(path_concat, i32),
             rel=_ptr(rel, f64),
             size=_ptr(size, f64),
+            p_est=_ptr(self._p_est_a, f64),
+            job_id=_ptr(self._ids_a, i64),
             ftol_size=_ptr(ftol_size, f64),
             rank=_ptr(rank, i64),
             leaf_rank=_ptr(leaf_rank, i64),
@@ -557,23 +593,26 @@ class CEngine:
             p_leaf_in=_ptr(p_leaf, f64),
             ftol_leaf_in=_ptr(ftol_leaf, f64),
             entry_ni=_ptr(e_cols[0], i32) if e_cols else None,
-            entry_min_steps=_ptr(e_cols[1], f64) if e_cols else None,
-            entry_tie_leaf_id=_ptr(e_cols[2], i64) if e_cols else None,
-            entry_tie_path=_ptr(e_cols[3], i32) if e_cols else None,
-            entry_min_leaf_id=_ptr(e_cols[4], i64) if e_cols else None,
-            entry_min_leaf_path=_ptr(e_cols[5], i32) if e_cols else None,
+            entry_leaf_off=_ptr(e_cols[1], i32) if e_cols else None,
+            entry_leaf_id=_ptr(e_cols[2], i64) if e_cols else None,
+            entry_leaf_steps=_ptr(e_cols[3], f64) if e_cols else None,
+            entry_leaf_path=_ptr(e_cols[4], i32) if e_cols else None,
             tops_ni=_ptr(ll_cols[0], i32) if ll_cols else None,
             cand_leaf_id=_ptr(ll_cols[1], i64) if ll_cols else None,
             cand_leaf_ni=_ptr(ll_cols[2], i32) if ll_cols else None,
             cand_top_pos=_ptr(ll_cols[3], i32) if ll_cols else None,
             cand_d=_ptr(ll_cols[4], f64) if ll_cols else None,
             cand_path=_ptr(ll_cols[5], i32) if ll_cols else None,
+            ev_time=_ptr(ev_cols[0], f64) if ev_cols else None,
+            ev_kind=_ptr(ev_cols[1], i32) if ev_cols else None,
+            ev_arg=_ptr(ev_cols[2], i32) if ev_cols else None,
             out_path_id=_ptr(out_path_id, i32),
             out_avail=_ptr(out_avail, f64),
             out_avail_cnt=_ptr(out_avail_cnt, i32),
             out_comp=_ptr(out_comp, f64),
             out_comp_cnt=_ptr(out_comp_cnt, i32),
             out_deficit=_ptr(out_deficit, f64),
+            out_cancel=_ptr(out_cancel, f64) if ev_cols else None,
             out_num_events=_ptr(out_num_events, i64),
         )
         status = self._dll.repro_run(ctypes.byref(args))
@@ -598,22 +637,36 @@ class CEngine:
         avail_cnt = out_avail_cnt.tolist()
         comp_cnt = out_comp_cnt.tolist()
         deficit_l = out_deficit.tolist()
+        # NaN (``c != c``) marks a job no cancel withdrew.
+        cancel_l = (
+            [None if c != c else c for c in out_cancel.tolist()]
+            if ev_cols
+            else [None] * n
+        )
         for i, job in enumerate(jobs):
             path_ids = paths[pid_l[i]]
             comp = comp_rows[i, : comp_cnt[i]].tolist()
-            rec = JobRecord(
+            ct = cancel_l[i]
+            records[job.id] = JobRecord(
                 job_id=job.id,
                 release=job.release,
                 leaf=path_ids[-1],
                 path=path_ids,
                 available_at=avail_rows[i, : avail_cnt[i]].tolist(),
                 completed_at=comp,
+                cancelled_at=ct,
+                size_estimate=job.size_estimate,
             )
-            records[job.id] = rec
-            if len(comp) == len(path_ids) and comp:
+            if ct is not None:
+                # Truncated model: a cancelled job contributes its flow
+                # up to the cancel instant, fractional deficit included.
+                flow = ct - job.release
+            elif len(comp) == len(path_ids) and comp:
                 flow = comp[-1] - job.release
-                alive_integral += flow
-                frac += flow - deficit_l[i]
+            else:
+                continue
+            alive_integral += flow
+            frac += flow - deficit_l[i]
 
         result = SimulationResult(
             instance=self.instance,
@@ -640,8 +693,8 @@ def simulate_c(
     check_invariants: bool = False,
     events=None,
 ) -> SimulationResult:
-    """Simulate on the compiled kernel, falling back to the numpy
-    backend for calls outside its plan (the schedule is identical).
+    """Simulate on the compiled kernel, falling back to the python
+    engine for calls outside its plan (the schedule is identical).
 
     Raises :class:`~repro.sim.backends.c_build.CKernelUnavailable` when
     no working compiler exists — callers gate on
@@ -658,7 +711,7 @@ def simulate_c(
             events=events,
         )
     except CKernelInapplicable:
-        return simulate_numpy(
+        return _engine.simulate(
             instance,
             policy,
             speeds=speeds,

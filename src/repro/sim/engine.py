@@ -1027,6 +1027,14 @@ class Engine:
             # schedule segment), then the job — still the heap top —
             # is popped and the node restarted on the next job.
             self._settle(ns)
+            if st.remaining <= finished_tol(self._processing_on(ns, st)):
+                # Brink of completion: completions come before events,
+                # so the job finishes this hop first and the cancel then
+                # applies wherever it now sits (a no-op after its last).
+                self._drain_finished_top(ns)
+                self._rearm(ns)
+                self._handle_cancel(job_id)
+                return
             _heappop(ns.heap)
             self._drain_finished_top(ns)
             self._rearm(ns)

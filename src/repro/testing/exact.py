@@ -76,8 +76,9 @@ def _node_priority_schedule(
     * cancels due at ``t`` apply after that drain and before new
       admissions; removal from the ready heap is lazy (stale tops are
       purged when surfaced), mirroring the engine's swap-remove.
-    * an outage spanning ``t`` freezes the node: arrivals keep queueing,
-      nothing runs, and the sweep jumps to the repair instant.
+    * an outage spanning ``t`` freezes the node: nothing runs, while
+      arrivals keep queueing and cancels keep applying in time order
+      until the repair instant.
     """
     pending = sorted(entries)
     completions: dict[int, float] = {}
@@ -120,11 +121,16 @@ def _node_priority_schedule(
             remaining[jid] = work
             ftol[jid] = finished_tol(work)
             i += 1
-        # 4. a node inside an outage performs no work: jump to the
-        #    repair (arrivals meanwhile queue via step 3 next round).
+        # 4. a node inside an outage performs no work: step to the next
+        #    repair, arrival or cancel, whichever comes first, so the
+        #    outage's arrivals queue (step 3) and its cancels (step 2)
+        #    apply in time order.
         if di < dn and down[di][0] <= t < down[di][1]:
-            t = down[di][1]
-            di += 1
+            t = min(
+                down[di][1],
+                pending[i][0] if i < n else math.inf,
+                cancel_q[ci][0] if ci < cn else math.inf,
+            )
             continue
         if not ready:
             nxt = min(

@@ -114,8 +114,8 @@ def run_fuzz(
         Restrict the battery to a subset of
         :data:`repro.testing.checks.ALL_CHECKS`.
     backends:
-        Add the opt-in cross-backend differential check: every case is
-        also replayed on the vectorised numpy kernel, which must agree
+        Add the opt-in cross-backend differential check: every case the
+        compiled kernel can plan is also replayed on it, and must agree
         with the reference engine (and, transitively, with the exact
         and dt oracles the battery already compares it against).
     events:

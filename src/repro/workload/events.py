@@ -13,7 +13,7 @@ narrator and Dinitz–Moseley's reconfigurable networks:
   *cancelled* terminal state instead of a completion.
 
 Event semantics are defined once (``docs/dynamic-events.md``) and
-implemented four times — python engine, numpy kernel, and both fuzz
+implemented four times — python engine, C kernel, and both fuzz
 oracles — so schedules validate aggressively here: a malformed schedule
 must fail loudly at construction, never diverge silently mid-run.
 

@@ -14,22 +14,16 @@ def both_backends_fixture(module_name: str):
     The engine-level suites (hand-computed schedules, invariants,
     metamorphic relations) call a module-global ``simulate``; binding
     ``_engine_backend = both_backends_fixture(__name__)`` in such a
-    module parametrizes it over ``python`` / ``numpy`` / ``c`` by
-    swapping that global for the corresponding kernel's wrapper, so
-    every schedule assertion doubles as a cross-backend equivalence
-    check.  The ``c`` parameter skips on machines without a working
-    compiler (or with ``REPRO_NO_CKERNEL=1``).
+    module parametrizes it over ``python`` / ``c`` by swapping that
+    global for the compiled kernel's wrapper, so every schedule
+    assertion doubles as a cross-backend equivalence check.  The ``c``
+    parameter skips on machines without a working compiler (or with
+    ``REPRO_NO_CKERNEL=1``).
     """
 
-    @pytest.fixture(autouse=True, params=["python", "numpy", "c"])
+    @pytest.fixture(autouse=True, params=["python", "c"])
     def _engine_backend(request, monkeypatch):
-        if request.param == "numpy":
-            from repro.sim.backends.numpy_backend import simulate_numpy
-
-            monkeypatch.setattr(
-                sys.modules[module_name], "simulate", simulate_numpy
-            )
-        elif request.param == "c":
+        if request.param == "c":
             from repro.sim.backends import c_build
             from repro.sim.backends.c_backend import simulate_c
 

@@ -24,14 +24,14 @@ class TestPrecedence:
         assert choice == BackendChoice(None, "default", "python")
 
     def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "python")
         choice = select_backend()
         assert choice.source == "env"
-        assert choice.effective == "numpy"
+        assert choice.effective == "python"
         assert choice.fallback_reason is None
 
     def test_kwarg_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "c")
         choice = select_backend("python")
         assert choice.source == "kwarg"
         assert choice.effective == "python"
@@ -85,7 +85,7 @@ class TestSharedByEntryPoints:
         inst = api.make_instance(n_jobs=20, seed=7)
         monkeypatch.delenv(ENV_VAR, raising=False)
         ref = api.simulate(instance=inst, policy="greedy")
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "c")
         via_env = api.simulate(instance=inst, policy="greedy")
         for jid, rec in ref.records.items():
             assert via_env.records[jid].completion == rec.completion
@@ -99,8 +99,7 @@ class TestSharedByEntryPoints:
             api.open_system(instance=inst)
 
     def test_all_backends_enumerated(self):
-        assert set(BACKENDS) == {"python", "numpy", "c"}
+        assert BACKENDS == ("python", "c")
         assert backend_available("python") == (True, None)
-        assert backend_available("numpy") == (True, None)
         with pytest.raises(SimulationError):
             backend_available("fortran")

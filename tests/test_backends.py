@@ -1,7 +1,7 @@
 """The backend registry: selection, dispatch, fallback, and
 cross-backend parity on a realistic workload.
 
-The bit-level schedule equivalence of the numpy kernel is enforced
+The bit-level schedule equivalence of the compiled kernel is enforced
 case-by-case by the differential fuzzer (``repro fuzz --backends``) and
 by the engine suites, which run on both backends; this module covers the
 *dispatch* layer (``repro.sim.backends.simulate`` / ``repro.api``) and
@@ -17,9 +17,8 @@ from repro.analysis.experiments.workloads import identical_instance
 from repro.core.assignment import GreedyIdenticalAssignment
 from repro.exceptions import SimulationError
 from repro.network.builders import datacenter_tree
-from repro.sim import backends
+from repro.sim import backends, engine
 from repro.sim.backends import c_build
-from repro.sim.backends.numpy_backend import NumpyEngine
 from repro.sim.speed import SpeedProfile
 
 _C_OK, _C_REASON = c_build.availability()
@@ -43,85 +42,27 @@ def _run(backend, **kwargs):
     )
 
 
+@needs_c
 class TestCrossBackendParity:
     def test_s1_schedules_identical(self):
-        a = _run("python", record_segments=True)
-        b = _run("numpy", record_segments=True)
-        assert set(a.records) == set(b.records)
-        for jid, ra in a.records.items():
-            rb = b.records[jid]
-            assert rb.leaf == ra.leaf
-            assert rb.path == ra.path
-            assert rb.completed_at == ra.completed_at
-            assert rb.available_at == ra.available_at
+        a = _run("python")
+        b = _run("c")
+        assert a.records == b.records  # leaf, path, every hop: exact
         assert a.total_flow_time() == b.total_flow_time()
-        # Segment multisets match; the kernel emits them in per-node
-        # batches and canonicalises by (start, end, node, job), so only
-        # the order may differ from the engine's event order.
-        key = lambda s: (s.start, s.end, s.node, s.job_id)  # noqa: E731
-        assert sorted(a.segments, key=key) == sorted(b.segments, key=key)
 
     def test_api_facade_backend_keyword(self):
         inst = _s1_instance(60)
         a = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="python")
-        b = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="numpy")
-        assert {j: r.completion for j, r in a.records.items()} == {
-            j: r.completion for j, r in b.records.items()
-        }
-
-    @needs_c
-    def test_c_matches_numpy_bit_for_bit(self):
-        a = _run("numpy")
-        b = _run("c")
-        assert set(a.records) == set(b.records)
-        for jid, ra in a.records.items():
-            rb = b.records[jid]
-            assert rb.leaf == ra.leaf
-            assert rb.path == ra.path
-            assert rb.completed_at == ra.completed_at
-            assert rb.available_at == ra.available_at
-        assert a.num_events == b.num_events
-        assert a.total_flow_time() == b.total_flow_time()
-        assert a.fractional_flow == b.fractional_flow
-
-    @needs_c
-    def test_api_facade_c_backend(self):
-        inst = _s1_instance(60)
-        a = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="numpy")
         b = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="c")
-        assert {j: r.completion for j, r in a.records.items()} == {
-            j: r.completion for j, r in b.records.items()
-        }
+        assert a.records == b.records
 
 
 class TestSelection:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        assert backends.resolve_backend("python") == "python"
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        assert backends.resolve_backend(None) == "numpy"
-        monkeypatch.delenv(backends.ENV_VAR)
-        assert backends.resolve_backend(None) == "python"
-
-    def test_empty_env_means_python(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "")
-        assert backends.resolve_backend(None) == "python"
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError, match="unknown backend"):
-            backends.resolve_backend("fortran")
+            backends.select_backend("fortran")
         with pytest.raises(SimulationError, match="unknown backend"):
             _run("fortran")
-
-    def test_env_selects_numpy_end_to_end(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        a = _run(None)
-        b = _run("python")
-        assert {j: r.completion for j, r in a.records.items()} == {
-            j: r.completion for j, r in b.records.items()
-        }
 
     @needs_c
     def test_env_selects_c_end_to_end(self, monkeypatch):
@@ -134,61 +75,55 @@ class TestSelection:
 
     def test_backend_available_registry(self):
         assert backends.backend_available("python") == (True, None)
-        assert backends.backend_available("numpy") == (True, None)
         ok, reason = backends.backend_available("c")
         assert ok == (reason is None)
         avail = backends.available_backends()
-        assert "python" in avail and "numpy" in avail
+        assert "python" in avail
         assert ("c" in avail) == ok
         with pytest.raises(SimulationError, match="unknown backend"):
             backends.backend_available("fortran")
 
 
+@needs_c
 class TestFallback:
-    """Options defined in terms of the global event order silently run
-    on the python engine, even under ``backend="numpy"``."""
+    """Options defined in terms of the global event order, and calls the
+    kernel cannot plan, run on the python engine under ``backend="c"``."""
 
     def test_observer_falls_back(self):
         seen = []
-        result = _run("numpy", observer=lambda view, kind, subject: seen.append(kind))
-        assert seen  # the numpy kernel has no observer hook at all
+        result = _run("c", observer=lambda view, kind, subject: seen.append(kind))
+        assert seen  # the compiled kernel has no observer hook at all
         assert len(result.records) == 160
 
     def test_until_falls_back(self):
-        result = _run("numpy", until=1.0)
+        result = _run("c", until=1.0)
         assert len(result.records) < 160  # genuinely bounded, so python ran
 
     def test_counters_fall_back(self):
-        result = _run("numpy", collect_counters=True)
+        result = _run("c", collect_counters=True)
         assert result.counters is not None
         assert result.counters.arrivals == 160
 
-    def test_plain_numpy_call_does_not_fall_back(self):
-        result = _run("numpy")
+    def test_plain_c_call_does_not_fall_back(self, monkeypatch):
+        def python_engine(*args, **kwargs):
+            raise AssertionError("fell back to the python engine")
+
+        monkeypatch.setattr(engine, "simulate", python_engine)
+        result = _run("c")
         assert result.counters is None
         assert len(result.records) == 160
 
-    @needs_c
-    def test_c_observer_falls_back_to_python(self):
-        seen = []
-        result = _run("c", observer=lambda view, kind, subject: seen.append(kind))
-        assert seen  # the compiled kernel has no observer hook either
-        assert len(result.records) == 160
-
-    @needs_c
-    def test_c_record_segments_falls_back_to_numpy(self):
-        # The C kernel never records segments; simulate_c hands the call
-        # to the numpy backend, which does.
+    def test_c_record_segments_falls_back_to_python(self):
+        # The kernel never records segments; simulate_c hands the call
+        # to the python engine, which does.
         result = _run("c", record_segments=True)
-        assert result.segments
         ref = _run("python", record_segments=True)
-        key = lambda s: (s.start, s.end, s.node, s.job_id)  # noqa: E731
-        assert sorted(result.segments, key=key) == sorted(ref.segments, key=key)
+        assert result.segments
+        assert result.segments == ref.segments
 
-    @needs_c
-    def test_c_inapplicable_policy_falls_back_to_numpy(self):
+    def test_c_inapplicable_policy_falls_back_to_python(self):
         # A policy the kernel has no native or static plan for (stateful
-        # in a way it cannot replay) runs on the numpy backend instead.
+        # in a way it cannot replay) runs on the python engine instead.
         class Adversarial:
             def assign(self, view, job, now):
                 # depends on live queue state -> not statically plannable
@@ -198,10 +133,8 @@ class TestFallback:
 
         inst = _s1_instance(40)
         a = backends.simulate(inst, Adversarial(), backend="c")
-        b = backends.simulate(inst, Adversarial(), backend="numpy")
-        assert {j: r.completed_at for j, r in a.records.items()} == {
-            j: r.completed_at for j, r in b.records.items()
-        }
+        b = backends.simulate(inst, Adversarial(), backend="python")
+        assert a.records == b.records
 
 
 class TestCUnavailable:
@@ -272,16 +205,3 @@ class TestBuildCache:
     def test_loaded_kernel_abi_matches(self):
         dll = c_build.load_kernel()
         assert dll.repro_abi_version() == c_build.ABI_VERSION
-
-
-class TestNumpyEngineSurface:
-    def test_run_once(self):
-        eng = NumpyEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
-        eng.run()
-        with pytest.raises(SimulationError, match="only run once"):
-            eng.run()
-
-    def test_until_rejected(self):
-        eng = NumpyEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
-        with pytest.raises(SimulationError, match="bounded horizons"):
-            eng.run(until=5.0)

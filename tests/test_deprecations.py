@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.exceptions import SimulationError
 from repro.sim.engine import simulate
 from repro.sim.speed import SpeedProfile
 
@@ -120,42 +121,63 @@ class TestEventLogRemoved:
         assert done == set(result.records)
 
 
-class TestCollectCountersRenameShim:
-    """The *live* one-release shim: ``collect_counters=`` →
-    ``counters=`` in ``api.simulate`` / ``api.trace_run``.  Warns once
-    per call and still works; next release these tests flip into the
-    removal form above (old spelling becomes a ``TypeError``)."""
+class TestCollectCountersRenameRemoved:
+    """``api.simulate(collect_counters=...)`` and
+    ``api.trace_run(collect_counters=...)`` spent their one-release
+    window; the old spelling is now a ``TypeError`` and ``counters=``
+    is the only name.  ``api.run_experiments(collect_counters=...)`` was
+    never part of the rename and stays."""
 
-    def test_simulate_old_name_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="collect_counters"):
-            result = api.simulate(instance=_instance(), collect_counters=True)
-        assert result.counters is not None
+    def test_simulate_old_name_rejected(self):
+        with pytest.raises(TypeError):
+            api.simulate(instance=_instance(), collect_counters=True)
 
-    def test_trace_run_old_name_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="collect_counters"):
-            result = api.trace_run(instance=_instance(), collect_counters=True)
-        assert result.counters is not None
-        assert result.trace is not None
-
-    def test_exactly_one_warning_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.simulate(instance=_instance(), collect_counters=False)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-
-    def test_new_name_wins_when_both_passed(self):
-        with pytest.warns(DeprecationWarning):
-            result = api.simulate(
-                instance=_instance(), counters=True, collect_counters=False
-            )
-        assert result.counters is not None
+    def test_trace_run_old_name_rejected(self):
+        with pytest.raises(TypeError):
+            api.trace_run(instance=_instance(), collect_counters=True)
 
     def test_new_name_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             result = api.simulate(instance=_instance(), counters=True)
+            traced = api.trace_run(instance=_instance(), counters=True)
         assert result.counters is not None
+        assert traced.counters is not None and traced.trace is not None
+
+    def test_run_experiments_keeps_collect_counters(self, tmp_path):
+        out = api.run_experiments(
+            exp_ids=["F1"], cache_dir=tmp_path, collect_counters=True
+        )
+        assert out and out[0].counters is not None
+
+
+class TestNumpyBackendRemoved:
+    """The ``"numpy"`` backend is gone with no alias: every way of
+    naming it fails as an unknown backend (``"c"`` is the fast engine,
+    ``"python"`` the reference)."""
+
+    def test_keyword_rejected(self):
+        with pytest.raises(SimulationError, match="unknown backend 'numpy'"):
+            api.simulate(instance=_instance(), backend="numpy")
+
+    def test_environment_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        with pytest.raises(SimulationError, match="unknown backend 'numpy'"):
+            api.simulate(instance=_instance())
+
+    def test_cli_flag_rejected(self, capsys):
+        from repro.cli import main
+
+        for command in ("run", "serve"):
+            with pytest.raises(SystemExit):
+                main([command, "--backend", "numpy"])
+            assert "invalid choice: 'numpy'" in capsys.readouterr().err
+
+    def test_not_listed(self):
+        from repro.sim import backends
+
+        assert "numpy" not in backends.BACKENDS
+        assert not any("numpy" in name.lower() for name in backends.__all__)
 
 
 def test_modern_surface_is_warning_free(tmp_path):

@@ -19,15 +19,33 @@ import pytest
 
 from repro import api
 from repro.analysis.experiments.workloads import identical_instance
+from repro.baselines.policies import (
+    ClosestLeafAssignment,
+    LeastLoadedAssignment,
+    RandomAssignment,
+    RoundRobinAssignment,
+)
 from repro.core.assignment import GreedyIdenticalAssignment
 from repro.exceptions import SimulationError, WorkloadError
-from repro.network.builders import datacenter_tree, tree_from_parent_map
+from repro.network.builders import (
+    caterpillar_tree,
+    datacenter_tree,
+    tree_from_parent_map,
+)
 from repro.obs.trace import TraceConfig, TraceRecorder
-from repro.sim import backends
+from repro.sim import engine
+from repro.sim.backends import c_build
+from repro.sim.backends.c_backend import CEngine
 from repro.sim.engine import Engine
 from repro.workload.events import Cancel, EventSchedule, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import JobSet
+
+
+_C_OK, _C_REASON = c_build.availability()
+needs_c = pytest.mark.skipif(
+    not _C_OK, reason=f"c backend unavailable: {_C_REASON}"
+)
 
 
 def _chain_instance():
@@ -244,56 +262,170 @@ def _parity_pair():
     return inst, events
 
 
-class TestBackendParityWithEvents:
-    def test_numpy_matches_python_bit_for_bit(self):
-        inst, events = _parity_pair()
-        runs = {}
-        for backend in ("python", "numpy"):
-            runs[backend] = api.simulate(
-                instance=inst, policy="greedy", eps=0.25, backend=backend,
-                record_segments=True, events=events,
-            )
-        a, b = runs["python"], runs["numpy"]
-        assert set(a.records) == set(b.records)
-        for jid, ra in a.records.items():
-            rb = b.records[jid]
-            assert rb.leaf == ra.leaf
-            assert rb.path == ra.path
-            assert rb.completed_at == ra.completed_at  # exact, no approx
-            assert rb.available_at == ra.available_at
-            assert rb.cancelled_at == ra.cancelled_at
-        assert a.num_events == b.num_events
-        assert a.total_flow_time() == b.total_flow_time()
-        key = lambda s: (s.start, s.end, s.node, s.job_id)  # noqa: E731
-        assert sorted(a.segments, key=key) == sorted(b.segments, key=key)
+def _with_estimates(inst):
+    """``inst`` with a size estimate on every third job, alternately
+    1.7x and half its true size."""
+    jobs = list(inst.jobs)
+    return Instance(
+        inst.tree,
+        JobSet.build(
+            releases=[j.release for j in jobs],
+            sizes=[j.size for j in jobs],
+            size_estimates=[
+                j.size * (0.5 if i % 2 else 1.7) if i % 3 == 0 else None
+                for i, j in enumerate(jobs)
+            ],
+        ),
+        Setting.IDENTICAL,
+        name="dyn-estimates-parity",
+    )
 
-    def test_c_backend_falls_back_and_warns_exactly_once(self, monkeypatch):
-        monkeypatch.setattr(backends, "_warned_c_events", False)
+
+@needs_c
+class TestBackendParityWithEvents:
+    @pytest.mark.parametrize("estimates", [False, True])
+    @pytest.mark.parametrize("policy", api.POLICY_NAMES)
+    def test_c_matches_python_bit_for_bit(self, policy, estimates):
         inst, events = _parity_pair()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            first = api.simulate(
-                instance=inst, backend="c", events=events
+        if estimates:
+            inst = _with_estimates(inst)
+        # The pair's cancels find their jobs already done (or not yet
+        # released); add some that land in service and in queues.
+        events = EventSchedule(
+            list(events)
+            + [
+                Cancel(j.release + 0.75 * (1 + j.id % 4), j.id)
+                for j in inst.jobs
+                if j.id % 9 == 2
+            ]
+        )
+        a, b = (
+            api.simulate(
+                instance=inst, policy=policy, eps=0.25, seed=4,
+                backend=backend, events=events,
             )
+            for backend in ("python", "c")
+        )
+        assert a.records == b.records  # cancelled_at included, no approx
+        assert a.total_flow_time() == b.total_flow_time()
+        assert b.cancelled_records()  # the schedule's cancels landed
+
+    @pytest.mark.parametrize("policy", api.POLICY_NAMES)
+    def test_estimates_on_uneven_depths_match_python(self, policy):
+        # Leaves at depths 2-4: least-loaded's own d_v * p term and
+        # greedy's weight * p term now separate leaves, so scoring the
+        # estimate instead of the true size changes the dispatch.
+        tree = caterpillar_tree(3, 2)
+        inst = _with_estimates(identical_instance(tree, 60, load=0.9, seed=5))
+        horizon = max(j.release for j in inst.jobs)
+        events = EventSchedule([
+            NodeDown(horizon * 0.3, tree.leaves[-1]),
+            NodeUp(horizon * 0.6, tree.leaves[-1]),
+            *(Cancel(j.release + 1.0, j.id) for j in inst.jobs if j.id % 7 == 1),
+        ])
+        a, b = (
+            api.simulate(
+                instance=inst, policy=policy, eps=0.25, seed=4,
+                backend=backend, events=events,
+            )
+            for backend in ("python", "c")
+        )
+        assert a.records == b.records
+
+    @pytest.mark.parametrize("policy", api.POLICY_NAMES)
+    def test_staggered_outage_deck_matches_python(self, policy):
+        # Every leaf and rack router goes down once, staggered so queues
+        # build up behind outages, and every 7th job is cancelled while
+        # queued or in service: swap-removes, parked admissions and
+        # repairs all run many times.
+        tree = datacenter_tree(2, 2, 3)
+        inst = _with_estimates(identical_instance(tree, 300, load=0.95, seed=8))
+        horizon = max(j.release for j in inst.jobs)
+        nodes = list(tree.leaves) + sorted({tree.parent(v) for v in tree.leaves})
+        slot = horizon / len(nodes)
+        events = EventSchedule([
+            *(NodeDown(slot * k, v) for k, v in enumerate(nodes)),
+            *(NodeUp(slot * k + 0.1 * horizon, v) for k, v in enumerate(nodes)),
+            *(Cancel(j.release + 1.5, j.id) for j in inst.jobs if j.id % 7 == 3),
+        ])
+        a, b = (
+            api.simulate(
+                instance=inst, policy=policy, eps=0.25, seed=4,
+                backend=backend, events=events,
+            )
+            for backend in ("python", "c")
+        )
+        assert a.records == b.records
+        assert a.total_flow_time() == b.total_flow_time()
+
+    @pytest.mark.parametrize("last_hop", [False, True])
+    def test_cancel_at_the_brink_completes_the_hop_first(self, last_hop):
+        # One unit job on a 2-hop chain, cancelled one ulp before a hop
+        # would complete: the settled residual is within finished_tol,
+        # so the hop completes at the cancel instant and the cancel
+        # applies to the next hop — a no-op after the last one.
+        release = 0.4947915350708311
+        tree = tree_from_parent_map({0: None, 1: 0, 2: 1})
+        inst = Instance(
+            tree, JobSet.build(releases=[release], sizes=[1.0]),
+            Setting.IDENTICAL,
+        )
+        hop_end = release + 1.0 + (1.0 if last_hop else 0.0)
+        cancel = math.nextafter(hop_end, 0.0)
+        events = EventSchedule([Cancel(cancel, 0)])
+        a, b = (
+            api.simulate(
+                instance=inst, policy="closest", backend=backend, events=events
+            )
+            for backend in ("python", "c")
+        )
+        assert a.records == b.records
+        rec = b.records[0]
+        if last_hop:
+            assert rec.finished and rec.completed_at[-1] == cancel
+        else:
+            assert rec.completed_at == [cancel]
+            assert rec.cancelled_at == cancel
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            GreedyIdenticalAssignment(0.25),
+            ClosestLeafAssignment(),
+            RandomAssignment(4),
+            LeastLoadedAssignment(),
+            RoundRobinAssignment(),
+        ],
+        ids=api.POLICY_NAMES,
+    )
+    def test_kernel_plans_every_policy_with_events(self, policy):
+        inst, events = _parity_pair()
+        CEngine(_with_estimates(inst), policy, events=events)
+
+    def test_c_backend_runs_events_on_the_kernel_without_warning(
+        self, monkeypatch
+    ):
+        def python_engine(*args, **kwargs):
+            raise AssertionError("fell back to the python engine")
+
+        inst, events = _parity_pair()
+        ref = api.simulate(instance=inst, events=events)
+        monkeypatch.setattr(engine, "simulate", python_engine)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            second = api.simulate(
-                instance=inst, backend="c", events=events
-            )
-        assert not [w for w in caught if "falling back" in str(w.message)]
-        ref = api.simulate(instance=inst, backend="numpy", events=events)
-        for got in (first, second):
-            assert got.completions() == ref.completions()
+            got = api.simulate(instance=inst, backend="c", events=events)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert got.records == ref.records
 
-    def test_c_backend_event_free_stays_native(self, monkeypatch):
-        # The fallback gate must not trip on empty schedules: backend
-        # "c" with no events runs whatever select_backend resolves to,
-        # with no warning.
-        monkeypatch.setattr(backends, "_warned_c_events", False)
+    def test_c_backend_event_free_stays_native(self):
+        # An empty schedule is the event-free run: no warning, and the
+        # same records as passing no schedule at all.
         inst, _ = _parity_pair()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            api.simulate(instance=inst, backend="c", events=EventSchedule(()))
-        assert not [w for w in caught if "falling back" in str(w.message)]
+            got = api.simulate(instance=inst, backend="c", events=EventSchedule(()))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert got.records == api.simulate(instance=inst, backend="c").records
 
 
 class TestAggregatesAfterRepair:

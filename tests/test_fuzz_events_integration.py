@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, simulate
 from repro.testing import replay, run_fuzz
+from repro.testing.checks import ALL_CHECKS, BACKEND_CHECK, run_checks
+from repro.testing.exact import exact_replay
+from repro.testing.generate import FuzzCase
 
 MAX_CASES = 500
 SHRUNK_JOB_CEILING = 6
@@ -110,3 +113,83 @@ def test_broken_node_down_caught_quickly(broken_node_down, tmp_path):
         events=True,
     )
     assert not summary.ok
+
+
+def _witness(topology, parent_map, jobs, schedule, **config):
+    """A shrunk ``repro fuzz --events`` witness, as its corpus document
+    would rebuild it."""
+    return FuzzCase.from_doc(
+        {
+            "config": {
+                "arrivals": "poisson", "eps": 0.25, "events": "mixed",
+                "n_jobs": len(jobs), "policy": "greedy", "priority": "sjf",
+                "seed": 0, "setting": "unrelated", "sizes": "uniform",
+                "speed": "unit", "topology": topology, **config,
+            },
+            "events": schedule,
+            "fixed_assignment": None,
+            "instance": {
+                "format": "treesched-instance",
+                "jobs": jobs,
+                "name": f"witness/{topology}",
+                "setting": "unrelated",
+                "tree": {"names": {}, "parent_map": parent_map},
+                "version": 1,
+            },
+            "shrunk": True,
+        }
+    )
+
+
+class TestPinnedWitnesses:
+    """Shrunk witnesses of two defects the events fuzz found at seeds
+    1 and 2, pinned so the whole battery (backends included) stays
+    clean on them."""
+
+    def test_cancel_inside_an_outage_withdraws_the_queued_job(self):
+        # Path 4 -> 5 -> 6; leaf 6 is down over [2.25, 15.5).  Job 3
+        # reaches it at 3.0 and is cancelled at 13.0, inside the
+        # outage.  The exact oracle used to jump straight to the repair,
+        # spend the cancel before admitting job 3, and complete it at
+        # 17.25.
+        case = _witness(
+            "paths_3x2",
+            {"0": None, "4": 0, "5": 4, "6": 5},
+            [
+                {"id": jid, "leaf_sizes": {"6": 1.0}, "origin": None,
+                 "release": 0.0, "size": 1.0}
+                for jid in (2, 3)
+            ],
+            [
+                {"kind": "node_down", "node": 6, "time": 2.25},
+                {"job": 3, "kind": "cancel", "time": 13.0},
+                {"kind": "node_up", "node": 6, "time": 15.5},
+            ],
+            arrivals="all_zero",
+        )
+        assert run_checks(case, checks=ALL_CHECKS + (BACKEND_CHECK,)) == []
+        result = simulate(case.instance, case.policy(), events=case.events)
+        assert result.records[3].cancelled_at == 13.0
+        assert 3 not in exact_replay(
+            case.instance, result.assignment(), events=case.events
+        )
+
+    def test_cancel_at_the_brink_of_the_last_completion_is_a_no_op(self):
+        # One unit job on a 2-hop path, cancelled at release + 2.0: its
+        # settled residual at the cancel instant is within finished_tol,
+        # so it finishes first and the cancel finds it done.  The engine
+        # used to withdraw it, and time_shift flipped the outcome.
+        release = 0.4947915350708311
+        case = _witness(
+            "paths_2x1",
+            {"0": None, "3": 0, "4": 3},
+            [{"id": 0, "leaf_sizes": {"4": 1.0}, "origin": None,
+              "release": release, "size": 1.0}],
+            [{"job": 0, "kind": "cancel", "time": 2.494791535070831}],
+            events="cancels", policy="least-loaded", sizes="equal", eps=1.0,
+        )
+        assert run_checks(case, checks=ALL_CHECKS + (BACKEND_CHECK,)) == []
+        result = simulate(case.instance, case.policy(), events=case.events)
+        record = result.records[0]
+        assert not record.cancelled
+        assert record.completion == pytest.approx(release + 2.0)

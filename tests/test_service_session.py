@@ -201,11 +201,14 @@ class TestLifecycleAndErrors:
         with pytest.raises(TypeError):
             api.open_system(_instance(n_jobs=5))  # positional rejected
 
+    @pytest.mark.skipif(
+        "c" not in available_backends(), reason="c backend unavailable"
+    )
     def test_non_python_backend_warns_and_streams_anyway(self):
         inst = _instance(n_jobs=10)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sess = api.open_system(instance=inst, backend="numpy")
+            sess = api.open_system(instance=inst, backend="c")
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         sess.drain()
         assert sess.snapshot().completions_total == 10

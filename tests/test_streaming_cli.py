@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from repro.sim.backends import available_backends
 
 
 class TestServe:
@@ -61,16 +62,15 @@ class TestRunBackendFlag:
         base = ["run", "--jobs", "40", "--seed", "3"]
         assert main(base) == 0
         ref = self._flow_line(capsys)
-        assert main(base + ["--backend", "numpy"]) == 0
-        assert self._flow_line(capsys) == ref
-        assert main(base + ["--backend", "python"]) == 0
-        assert self._flow_line(capsys) == ref
+        for backend in available_backends():
+            assert main(base + ["--backend", backend]) == 0
+            assert self._flow_line(capsys) == ref
 
     def test_env_var_respected(self, capsys, monkeypatch):
         base = ["run", "--jobs", "40", "--seed", "3"]
         assert main(base) == 0
         ref = self._flow_line(capsys)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "c")
         assert main(base) == 0
         assert self._flow_line(capsys) == ref
 
@@ -78,7 +78,8 @@ class TestRunBackendFlag:
         # event-order options (profiling changes nothing, but --until
         # does) force the python engine; the flag must still be accepted
         rc = main([
-            "run", "--jobs", "30", "--seed", "1", "--backend", "numpy",
+            "run", "--jobs", "30", "--seed", "1",
+            "--backend", available_backends()[-1],
             "--profile", "--until", "10",
         ])
         assert rc == 0
