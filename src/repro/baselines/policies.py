@@ -19,16 +19,26 @@ __all__ = [
 ]
 
 
-def _feasible_leaves(view: SchedulerView, job: Job) -> list[int]:
+def _origin_key(tree, job: Job) -> int | None:
+    """The job's origin as a per-origin layout key (``None``: the whole
+    tree, which root-origin jobs and unknown origins both see)."""
+    origin = job.origin
+    if origin is None or origin == tree.root or origin not in tree:
+        return None
+    return origin
+
+
+def _feasible_leaves(view: SchedulerView, job: Job) -> tuple[int, ...]:
+    """:meth:`Instance.feasible_leaves` of ``job``: its origin's leaves,
+    minus the forbidden ones (``p_{j,v} = inf``).  A job without
+    per-leaf sizes may run on every candidate, so it costs no scan."""
     tree = view.tree
-    instance = view.instance
-    if job.origin is not None and job.origin != tree.root and job.origin in tree:
-        candidates = tree.leaves_under(job.origin)
-    else:
-        candidates = tree.leaves
-    leaves = [
-        v for v in candidates if math.isfinite(instance.processing_time(job, v))
-    ]
+    origin = _origin_key(tree, job)
+    candidates = tree.leaves if origin is None else tree.leaves_under(origin)
+    sizes = job.leaf_sizes
+    if sizes is None:
+        return candidates
+    leaves = tuple(v for v in candidates if math.isfinite(sizes[v]))
     if not leaves:
         raise AssignmentError(f"job {job.id} has no feasible leaf")
     return leaves
@@ -42,24 +52,25 @@ class ClosestLeafAssignment:
     unrelated setting it additionally prefers fast machines.  Ties break
     by leaf id.
 
-    Uniform-size jobs have ``P_{v,j} = d_v · p_j``, so for ``p_j > 0``
+    Uniform-size jobs have ``P_{v,j} = d_v · p_j`` with ``p_j > 0``, so
     the ``(P_{v,j}, v)`` argmin is the static ``(d_v, v)`` minimum —
-    cached once per origin instead of rescanning every feasible leaf
-    and recomputing ``path_volume`` per arrival.  Jobs carrying a
-    per-leaf size map (or degenerate sizes) keep the full scan, whose
-    tie-breaking the cache reproduces exactly.
+    cached once per origin.  Jobs carrying a per-leaf size map score
+    ``(d_v - 1)·p_j + p_{j,v}`` (exactly
+    :meth:`~repro.workload.instance.Instance.path_volume`) over a
+    per-origin ``(leaf, d_v - 1)`` layout, skipping forbidden leaves.
     """
 
     def __init__(self) -> None:
         # origin key (None = whole tree) -> (d_v, v)-argmin leaf
         self._closest: dict[int | None, int] = {}
+        # origin key -> ((leaf, d_v - 1), ...) in candidate order
+        self._layout: dict[int | None, tuple[tuple[int, int], ...]] = {}
 
     def assign(self, view: SchedulerView, job: Job, now: float) -> int:
         tree = view.tree
-        if job.leaf_sizes is None and math.isfinite(job.size) and job.size > 0.0:
-            origin = job.origin
-            if origin is None or origin == tree.root or origin not in tree:
-                origin = None
+        origin = _origin_key(tree, job)
+        sizes = job.leaf_sizes
+        if sizes is None:
             best = self._closest.get(origin)
             if best is None:
                 candidates = (
@@ -68,11 +79,25 @@ class ClosestLeafAssignment:
                 best = min(candidates, key=lambda v: (tree.d(v), v))
                 self._closest[origin] = best
             return best
-        instance = view.instance
-        return min(
-            _feasible_leaves(view, job),
-            key=lambda v: (instance.path_volume(job, v), v),
-        )
+        layout = self._layout.get(origin)
+        if layout is None:
+            candidates = tree.leaves if origin is None else tree.leaves_under(origin)
+            layout = tuple((v, tree.d(v) - 1) for v in candidates)
+            self._layout[origin] = layout
+        p = job.size
+        best = None
+        best_score = math.inf
+        for v, hops in layout:
+            p_v = sizes[v]
+            if not math.isfinite(p_v):
+                continue
+            score = hops * p + p_v
+            if best is None or score < best_score or (score == best_score and v < best):
+                best = v
+                best_score = score
+        if best is None:
+            raise AssignmentError(f"job {job.id} has no feasible leaf")
+        return best
 
 
 class RandomAssignment:
@@ -107,7 +132,9 @@ class LeastLoadedAssignment:
     instances.  Jobs without per-leaf sizes score ``d_v · p_j`` for
     their own path volume directly (every leaf is feasible); only jobs
     carrying a leaf-size map pay the per-leaf ``p_{j,v}`` lookup and
-    the ``isfinite`` filter.
+    skip forbidden leaves.  Under an outage the policy is down-aware
+    over the job's *feasible* leaves: blocked ones drop out unless that
+    would leave none, in which case every feasible leaf stays.
     """
 
     def __init__(self) -> None:
@@ -117,9 +144,7 @@ class LeastLoadedAssignment:
 
     def _layout_for(self, view: SchedulerView, job: Job):
         tree = view.tree
-        origin = job.origin
-        if origin is None or origin == tree.root or origin not in tree:
-            origin = None
+        origin = _origin_key(tree, job)
         layout = self._layout.get(origin)
         if layout is None:
             candidates = tree.leaves if origin is None else tree.leaves_under(origin)
@@ -130,29 +155,31 @@ class LeastLoadedAssignment:
     def assign(self, view: SchedulerView, job: Job, now: float) -> int:
         tree = view.tree
         p = job.size
-        uniform = job.leaf_sizes is None and math.isfinite(p)
+        sizes = job.leaf_sizes
         layout = self._layout_for(view, job)
         downs_fn = getattr(view, "downed_nodes", None)
         downs = downs_fn() if downs_fn is not None else None
         if downs:
-            origin = job.origin
-            if origin is None or origin == tree.root or origin not in tree:
+            origin = _origin_key(tree, job)
+            if origin is None:
                 origin = tree.root
+            if sizes is not None:
+                layout = tuple(e for e in layout if math.isfinite(sizes[e[0]]))
             kept = tuple(
                 e for e in layout if not path_is_blocked(tree, e[0], downs, origin)
             )
-            # keep the full layout when the outage excludes everything:
-            # dispatch must still pick a leaf (the job stalls until repair).
+            # keep every feasible leaf when the outage blocks them all:
+            # dispatch must still pick one (the job stalls until repair).
             if kept and len(kept) < len(layout):
                 layout = kept
         best_leaf: int | None = None
         best_score = math.inf
         top_load = {top: view.queue_volume_at(top) for top in tree.root_children}
         for v, top, d in layout:
-            if uniform:
+            if sizes is None:
                 own = d * p  # path_volume: (d-1)·p_j + p_{j,v} with p_{j,v} = p_j
             else:
-                leaf_p = job.processing_on_leaf(v)
+                leaf_p = sizes[v]
                 if not math.isfinite(leaf_p):
                     continue
                 own = (d - 1) * p + leaf_p

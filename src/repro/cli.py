@@ -504,6 +504,12 @@ def _cmd_fuzz(args) -> int:
         f"elapsed={summary.elapsed_seconds:.1f}s "
         f"(stopped by {summary.stopped_by})"
     )
+    if summary.kernel_plans is not None:
+        print(
+            f"c kernel: {summary.kernel_count('planned')} planned, "
+            f"{summary.kernel_count('declined')} declined, "
+            f"{summary.kernel_count('unavailable')} without a compiler"
+        )
     if summary.ok:
         print("no disagreements found")
         return 0

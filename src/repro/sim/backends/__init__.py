@@ -12,12 +12,14 @@ The selectable engine backends:
   are bit-identical to the python engine's.  Optional: with no working
   compiler (or ``REPRO_NO_CKERNEL=1``) the backend is *unavailable* —
   requesting it explicitly raises, selecting it through the
-  environment falls back to ``"python"`` with a warning.  A call the
-  kernel cannot plan (generic priorities, custom policies, per-leaf
-  greedy or least-loaded, segment recording) or one asking for an
-  option defined by the global event order (``observer``, ``tracer``,
-  ``until``, engine counters) runs on the python engine — the schedule
-  is the same either way, only the execution strategy differs.
+  environment falls back to ``"python"`` with a warning.  Every
+  built-in policy runs on the kernel, on identical and unrelated
+  endpoints alike.  A call the kernel cannot plan (generic priorities,
+  custom policies, greedy or least-loaded with non-root job origins,
+  segment recording) or one asking for an option defined by the
+  global event order (``observer``, ``tracer``, ``until``, engine
+  counters) runs on the python engine — the schedule is the same
+  either way, only the execution strategy differs.
 
 Selection: one resolver, :func:`select_backend`, shared by
 :func:`simulate`, :func:`repro.api.simulate`,

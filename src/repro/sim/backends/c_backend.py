@@ -7,23 +7,26 @@ the contract:
 * **Plan** — decide whether a simulation is *expressible* as one kernel
   call.  The kernel natively replays the built-in priorities (SJF /
   FIFO), dynamic-event schedules (outages, repairs, cancellations),
-  size estimates, and three policy shapes: statically-decidable
+  size estimates, and every built-in policy: statically-decidable
   assignments (closest / random / round-robin / fixed — their choices
   depend only on the instance, so they are precomputed by calling the
   real policy object once per arrival on the masked job, consuming its
-  RNG/counter state exactly as a live run would), the paper's
-  greedy-identical rule, and the least-loaded baseline (both
-  down-aware).  Anything else — generic priority callables, policies
-  with dynamic state the kernel does not model, per-leaf-size greedy
-  and least-loaded, origin-restricted greedy/least-loaded, segment
-  recording — raises :class:`CKernelInapplicable`, and
+  RNG/counter state exactly as a live run would), the paper's greedy
+  rule for identical and for unrelated endpoints (F' per leaf), and the
+  least-loaded baseline over uniform or per-leaf sizes (all down-aware,
+  forbidden leaves ``p_{j,v} = inf`` never picked).  Anything else —
+  generic priority callables, custom policies, greedy or least-loaded
+  with non-root origins, greedy-identical on unrelated endpoints,
+  segment recording — raises :class:`CKernelInapplicable`, and
   :func:`simulate_c` runs the python engine instead (same schedule,
   slower execution).
 * **Marshal** — batch-precompute every input column as a numpy array
   (``np.lexsort`` priority ranks, finished-tolerances, preorder
-  topology, and the event columns when the schedule is non-empty),
-  allocate every output buffer, and hand the kernel one pointer-table
-  struct (:class:`_KernelArgs`, field-for-field the C ``KernelArgs``).
+  topology, the leaf table, in the unrelated setting the n x leaves
+  ``p_{j,v}`` column with its per-leaf SJF ranks, and the event columns
+  when the schedule is non-empty), allocate every output buffer, and
+  hand the kernel one pointer-table struct (:class:`_KernelArgs`,
+  field-for-field the C ``KernelArgs``).
 * **Assemble** — turn the output columns back into a
   :class:`~repro.sim.result.SimulationResult`, with the per-job flow
   integrals summed in arrival order.
@@ -39,10 +42,16 @@ from __future__ import annotations
 
 import ctypes
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from repro.core.assignment import FixedAssignment, GreedyIdenticalAssignment
+from repro.core.assignment import (
+    FixedAssignment,
+    GreedyIdenticalAssignment,
+    GreedyUnrelatedAssignment,
+)
 from repro.baselines.policies import (
     ClosestLeafAssignment,
     LeastLoadedAssignment,
@@ -80,6 +89,13 @@ _STATIC_POLICIES = (
     FixedAssignment,
 )
 
+#: Policies the kernel runs against live state -> ``policy_kind``.
+_LIVE_POLICIES = {
+    GreedyIdenticalAssignment: 1,
+    LeastLoadedAssignment: 2,
+    GreedyUnrelatedAssignment: 3,
+}
+
 
 class CKernelInapplicable(Exception):
     """This simulation cannot be expressed as a single kernel call."""
@@ -99,12 +115,14 @@ class _KernelArgs(ctypes.Structure):
         ("max_events", ctypes.c_int64),
         ("policy_kind", ctypes.c_int64),
         ("use_agg", ctypes.c_int64),
+        ("n_leaves", ctypes.c_int64),
         ("n_entries", ctypes.c_int64),
         ("n_tops", ctypes.c_int64),
-        ("n_cands", ctypes.c_int64),
         ("n_paths", ctypes.c_int64),
         ("n_dyn", ctypes.c_int64),
         ("weight", ctypes.c_double),
+        ("ftol_atol", ctypes.c_double),
+        ("ftol_rtol", ctypes.c_double),
         ("chain_off", _i32p),
         ("chain_concat", _i32p),
         ("is_leaf", _u8p),
@@ -119,21 +137,22 @@ class _KernelArgs(ctypes.Structure):
         ("job_id", _i64p),
         ("ftol_size", _f64p),
         ("rank", _i64p),
-        ("leaf_rank", _i64p),
         ("job_path_id", _i32p),
         ("p_leaf_in", _f64p),
         ("ftol_leaf_in", _f64p),
+        ("leaf_rank_in", _i64p),
+        ("leaf_id", _i64p),
+        ("leaf_ni", _i32p),
+        ("leaf_path", _i32p),
+        ("p_jv", _f64p),
+        ("rank_jv", _i32p),
         ("entry_ni", _i32p),
         ("entry_leaf_off", _i32p),
-        ("entry_leaf_id", _i64p),
+        ("entry_leaf_slot", _i32p),
         ("entry_leaf_steps", _f64p),
-        ("entry_leaf_path", _i32p),
         ("tops_ni", _i32p),
-        ("cand_leaf_id", _i64p),
-        ("cand_leaf_ni", _i32p),
-        ("cand_top_pos", _i32p),
-        ("cand_d", _f64p),
-        ("cand_path", _i32p),
+        ("leaf_top", _i32p),
+        ("leaf_d", _f64p),
         ("ev_time", _f64p),
         ("ev_kind", _i32p),
         ("ev_arg", _i32p),
@@ -148,7 +167,10 @@ class _KernelArgs(ctypes.Structure):
     ]
 
 
-def _ptr(arr: np.ndarray, ctype):
+def _ptr(arr: np.ndarray | None, ctype):
+    """``arr``'s data as a typed pointer (``None`` stays a NULL)."""
+    if arr is None:
+        return None
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
@@ -231,33 +253,23 @@ class CEngine:
             raise CKernelInapplicable("instance too large for dense buffers")
         self._identical = instance.setting is Setting.IDENTICAL
 
-        root = tree.root
-        root_origins = all(j.origin is None or j.origin == root for j in jobs)
-        uniform_sizes = all(
-            j.leaf_sizes is None and math.isfinite(j.size) for j in jobs
-        )
-        if type(policy) is GreedyIdenticalAssignment:
-            if not (
-                self._prio_kind == 1
-                and self._identical
-                and root_origins
-                and tree.root_children
-            ):
-                raise CKernelInapplicable(
-                    "greedy-identical needs sjf + identical sizes + root origins"
-                )
-            self._kind = 1
-        elif type(policy) is LeastLoadedAssignment:
-            if not (uniform_sizes and root_origins):
-                raise CKernelInapplicable(
-                    "least-loaded needs uniform sizes + root origins"
-                )
-            self._kind = 2
-        elif type(policy) in _STATIC_POLICIES:
+        ptype = type(policy)
+        if ptype in _STATIC_POLICIES:
             self._kind = 0
+        elif ptype in _LIVE_POLICIES:
+            root = tree.root
+            if any(j.origin is not None and j.origin != root for j in jobs):
+                raise CKernelInapplicable(
+                    f"{ptype.__name__} with non-root job origins"
+                )
+            if ptype is GreedyIdenticalAssignment and not self._identical:
+                raise CKernelInapplicable(
+                    "greedy-identical on unrelated endpoints"
+                )
+            self._kind = _LIVE_POLICIES[ptype]
         else:
             raise CKernelInapplicable(
-                f"policy {type(policy).__name__} has no kernel plan"
+                f"policy {ptype.__name__} has no kernel plan"
             )
 
         # The library is loaded (building it on first use) at plan time
@@ -296,24 +308,23 @@ class CEngine:
 
         self._paths: list[tuple[int, ...]] = []
         self._pid_of: dict[tuple[int, ...], int] = {}
-        self._leaf_pid: dict[int, int] = {}
+        # Every leaf's root-origin path, in tree.leaves order: the leaf
+        # table's rows (slots) and the static replay's validation map.
+        self._leaf_pid = {
+            leaf: self._path_id(tree.processing_path(leaf))
+            for leaf in tree.leaves
+        }
         self._weight = 0.0
-        self._e_cols = self._ll_cols = None
-        self._p_leaf_a = np.empty(n, dtype=np.float64)
-        self._ftol_leaf_a = np.empty(n, dtype=np.float64)
-        self._job_path_id_a = np.zeros(n, dtype=np.int32)
-        self._leaf_rank_a: np.ndarray | None = None
+        self._leaf_cols = self._e_cols = self._ll_cols = self._jv_cols = None
         if self._kind != 0:
-            # Identical-leaf settings: p_{j,leaf} == p_j for every leaf
-            # the policy can pick (kind gates enforce it).
-            self._p_leaf_a[:] = size
-            self._ftol_leaf_a[:] = self._ftol_size_a
-            self._leaf_rank_a = self._leaf_ranks()
-            if self._kind == 1:
+            self._leaf_cols = self._precompute_leaves()
+            if self._kind == 2:
+                self._ll_cols = self._precompute_least_loaded()
+            else:
                 self._e_cols = self._precompute_greedy()
                 self._weight = float(policy.weight)
-            else:
-                self._ll_cols = self._precompute_least_loaded()
+            if not self._identical:
+                self._jv_cols = self._precompute_leaf_sizes()
         self._ev_cols = self._precompute_events() if self._dyn else None
 
     # ------------------------------------------------------------------
@@ -351,15 +362,16 @@ class CEngine:
             enc = enc.astype(np.uint8)
         return is_leaf, speed, chain_off, chain_concat, enc
 
-    def _leaf_ranks(self) -> np.ndarray:
-        """Leaf-heap order at unrelated-setting SJF leaves: the engine
-        pushes ``(p_leaf, release, id)`` keys; per-leaf heaps never mix
-        leaves, so one global rank orders each identically."""
+    def _leaf_ranks(self, p_leaf: np.ndarray) -> np.ndarray | None:
+        """Leaf-heap order of the static plan at unrelated-setting SJF
+        leaves (``None`` where no leaf heap reads it): the engine pushes
+        ``(p_leaf, release, id)`` keys; per-leaf heaps never mix leaves,
+        so one global rank orders each identically."""
+        if self._identical or self._prio_kind != 1:
+            return None
         n = len(self._jobs)
         leaf_rank = np.empty(n, dtype=np.int64)
-        leaf_rank[
-            np.lexsort((self._ids_a, self._rel_a, self._p_leaf_a))
-        ] = np.arange(n)
+        leaf_rank[np.lexsort((self._ids_a, self._rel_a, p_leaf))] = np.arange(n)
         return leaf_rank
 
     def _path_id(self, path_ids: tuple[int, ...]) -> int:
@@ -370,38 +382,29 @@ class CEngine:
             self._paths.append(path_ids)
         return pid
 
-    def _leaf_path_id(self, leaf: int) -> int:
-        pid = self._leaf_pid.get(leaf)
-        if pid is None:
-            pid = self._path_id(self.instance.tree.processing_path(leaf))
-            self._leaf_pid[leaf] = pid
-        return pid
-
-    def _precompute_static(self, p_leaf, ftol_leaf, job_path_id):
+    def _precompute_static(self):
         """Kind 0: replay the policy per arrival (on the masked job)
         against the static view, validating exactly as the engine's
-        arrival path."""
+        arrival path.  Returns the path-id, leaf-size and leaf-tolerance
+        columns."""
         instance = self.instance
-        tree = instance.tree
-        root = tree.root
-        leaves = set(tree.leaves)
+        root = instance.tree.root
+        leaf_pid = self._leaf_pid
         view = _StaticView(instance, self.speeds)
-        policy = self.policy
-        for i, job in enumerate(self._jobs):
+        assign = self.policy.assign
+        identical = self._identical
+        pids: list[int] = []
+        p_leaf: list[float] = []
+        for job in self._jobs:
             view.now = job.release
-            leaf = policy.assign(view, job.masked(), job.release)
+            leaf = assign(view, job.masked(), job.release)
+            pid = leaf_pid.get(leaf)
+            if pid is None:
+                raise AssignmentError(
+                    f"policy assigned job {job.id} to non-leaf node {leaf!r}"
+                )
             origin = job.origin
-            if origin is None or origin == root:
-                if leaf not in leaves:
-                    raise AssignmentError(
-                        f"policy assigned job {job.id} to non-leaf node {leaf!r}"
-                    )
-                pid = self._leaf_path_id(leaf)
-            else:
-                if leaf not in leaves:
-                    raise AssignmentError(
-                        f"policy assigned job {job.id} to non-leaf node {leaf!r}"
-                    )
+            if origin is not None and origin != root:
                 try:
                     path = instance.processing_path_for(job, leaf)
                 except TopologyError as exc:
@@ -414,43 +417,95 @@ class CEngine:
                         f"job {job.id}: empty processing path to leaf {leaf}"
                     )
                 pid = self._path_id(path)
-            pl = (
-                job.size
-                if job.leaf_sizes is None
-                else job.processing_on_leaf(leaf)
-            )
-            if not math.isfinite(pl):
-                raise AssignmentError(
-                    f"policy assigned job {job.id} to forbidden leaf {leaf} (p=inf)"
-                )
-            job_path_id[i] = pid
-            p_leaf[i] = pl
-            ft = REMAINING_RTOL * pl
-            ftol_leaf[i] = ft if ft > REMAINING_ATOL else REMAINING_ATOL
+            if not identical:
+                pl = job.processing_on_leaf(leaf)
+                if not math.isfinite(pl):
+                    raise AssignmentError(
+                        f"policy assigned job {job.id} to forbidden leaf "
+                        f"{leaf} (p=inf)"
+                    )
+                p_leaf.append(pl)
+            pids.append(pid)
+        job_path_id = np.array(pids, dtype=np.int32)
+        if identical:
+            return job_path_id, self._size_a, self._ftol_size_a
+        p_leaf_a = np.array(p_leaf, dtype=np.float64)
+        ftol_leaf = np.maximum(REMAINING_ATOL, REMAINING_RTOL * p_leaf_a)
+        return job_path_id, p_leaf_a, ftol_leaf
+
+    def _precompute_leaves(self):
+        """Kinds 1-3: the leaf table — id, node index and path id per
+        leaf, in ``tree.leaves`` order (the policies' candidate order)."""
+        leaves = self.instance.tree.leaves
+        return (
+            np.array(leaves, dtype=np.int64),
+            np.array([self._ni_of[v] for v in leaves], dtype=np.int32),
+            np.array([self._leaf_pid[v] for v in leaves], dtype=np.int32),
+        )
+
+    def _precompute_least_loaded(self):
+        """Kind 2: root-children order for ``top_load``, and per leaf
+        slot the position of ``R(leaf)`` in it and ``d_v`` — the
+        candidate layout of :meth:`LeastLoadedAssignment._layout_for`
+        (origin ``None``)."""
+        tree = self.instance.tree
+        tops = tree.root_children
+        return (
+            np.array([self._ni_of[v] for v in tops], dtype=np.int32),
+            np.array(
+                [tops.index(tree.top_router(v)) for v in tree.leaves],
+                dtype=np.int32,
+            ),
+            np.array([float(tree.d(v)) for v in tree.leaves], dtype=np.float64),
+        )
+
+    def _precompute_leaf_sizes(self):
+        """Kinds 2-3 on unrelated endpoints: the n x leaves ``p_{j,v}``
+        column (row-major by job, ``inf`` = forbidden) and, under SJF,
+        the leaf heaps' ranks.  A rank only has to order a leaf's jobs
+        like the engine's ``(p_{j,v}, release, id)`` keys: the dense rank
+        of ``p_{j,v}`` over the whole column does, because heap entries
+        break rank ties by job index, and jobs are in ``(release, id)``
+        order."""
+        leaves = self.instance.tree.leaves
+        n, n_leaves = len(self._jobs), len(leaves)
+        get = itemgetter(*leaves)
+        rows = (get(j.leaf_sizes) for j in self._jobs)
+        if n_leaves == 1:
+            rows = ((v,) for v in rows)
+        p_jv = np.fromiter(
+            chain.from_iterable(rows), dtype=np.float64, count=n * n_leaves
+        )
+        rank_jv = None
+        if self._prio_kind == 1:
+            # searchsorted over the distinct values: no n x leaves sort
+            # permutation is ever materialised.
+            rank_jv = np.searchsorted(np.unique(p_jv), p_jv).astype(np.int32)
+        return p_jv, rank_jv
 
     def _precompute_greedy(self):
-        """Kind 1: the root-adjacent entries of
+        """Kinds 1 and 3: the root-adjacent entries of
         :meth:`GreedyIdenticalAssignment._entries_for` (root origin) and
-        every branch's ``(leaf, steps)`` pairs, from which the kernel
-        derives the per-branch argmin records — over the leaves an
-        outage leaves unblocked, when one does."""
+        every branch's ``(leaf slot, steps)`` pairs, from which the
+        kernel derives the per-branch argmin records (kind 1) or scores
+        each leaf (kind 3) — over the leaves an outage leaves unblocked,
+        when one does."""
         tree = self.instance.tree
         root = tree.root
         root_depth = tree.depth(root)
-        entries, off, ids, steps, pids = [], [0], [], [], []
+        slot_of = {v: q for q, v in enumerate(tree.leaves)}
+        entries, off, slots, steps = [], [0], [], []
         for entry in tree.children(root):
             entries.append(self._ni_of[entry])
             for leaf in tree.leaves_under(entry):
-                ids.append(leaf)
+                slots.append(slot_of[leaf])
                 steps.append(float(tree.depth(leaf) - root_depth))
-                pids.append(self._leaf_path_id(leaf))
-            off.append(len(ids))
+            off.append(len(slots))
         return (
             np.array(entries, dtype=np.int32),
             np.array(off, dtype=np.int32),
-            np.array(ids, dtype=np.int64),
+            np.array(slots, dtype=np.int32),
             np.array(steps, dtype=np.float64),
-            np.array(pids, dtype=np.int32),
         )
 
     def _precompute_events(self):
@@ -472,30 +527,6 @@ class CEngine:
             np.array(args, dtype=np.int32),
         )
 
-    def _precompute_least_loaded(self):
-        """Kind 2: root-children order for ``top_load`` plus the
-        ``tree.leaves``-ordered candidate layout of
-        :meth:`LeastLoadedAssignment._layout_for` (origin ``None``)."""
-        tree = self.instance.tree
-        tops = list(tree.root_children)
-        top_pos = {v: q for q, v in enumerate(tops)}
-        tops_ni = np.array([self._ni_of[v] for v in tops], dtype=np.int32)
-        c_id, c_ni, c_top, c_d, c_path = [], [], [], [], []
-        for v in tree.leaves:
-            c_id.append(v)
-            c_ni.append(self._ni_of[v])
-            c_top.append(top_pos[tree.top_router(v)])
-            c_d.append(float(tree.d(v)))
-            c_path.append(self._leaf_path_id(v))
-        return (
-            tops_ni,
-            np.array(c_id, dtype=np.int64),
-            np.array(c_ni, dtype=np.int32),
-            np.array(c_top, dtype=np.int32),
-            np.array(c_d, dtype=np.float64),
-            np.array(c_path, dtype=np.int32),
-        )
-
     # ------------------------------------------------------------------
     # run
     # ------------------------------------------------------------------
@@ -506,32 +537,20 @@ class CEngine:
 
         jobs = self._jobs
         n = len(jobs)
-        is_leaf, speed, chain_off, chain_concat, enc = (
-            self._is_leaf_a, self._speed_a, self._chain_off_a,
-            self._chain_concat_a, self._enc_a,
-        )
-        n_nodes = len(self._order)
-        rel = self._rel_a
-        size = self._size_a
-        ftol_size = self._ftol_size_a
-        rank = self._rank_a
-        p_leaf = self._p_leaf_a
-        ftol_leaf = self._ftol_leaf_a
-        job_path_id = self._job_path_id_a
         kind = self._kind
-        weight = self._weight
         e_cols = self._e_cols
+        leaf_cols = self._leaf_cols
         ll_cols = self._ll_cols
+        jv_cols = self._jv_cols
         ev_cols = self._ev_cols
 
+        job_path_id = p_leaf = ftol_leaf = leaf_rank = None
         if kind == 0:
             # The policy replay lives in run(), not construction: it
             # consumes the policy object's state (RNG draws, round-robin
             # counters) exactly as a live arrival loop would.
-            self._precompute_static(p_leaf, ftol_leaf, job_path_id)
-            leaf_rank = self._leaf_ranks()
-        else:
-            leaf_rank = self._leaf_rank_a
+            job_path_id, p_leaf, ftol_leaf = self._precompute_static()
+            leaf_rank = self._leaf_ranks(p_leaf)
 
         path_len = np.array([len(p) for p in self._paths], dtype=np.int32)
         path_off = np.zeros(len(self._paths), dtype=np.int32)
@@ -543,7 +562,7 @@ class CEngine:
             dtype=np.int32,
             count=int(path_len.sum()),
         )
-        max_path = int(path_len.max()) if len(self._paths) else 1
+        max_path = int(path_len.max())
 
         out_path_id = np.zeros(n, dtype=np.int32)
         out_avail = np.zeros(n * max_path, dtype=np.float64)
@@ -561,58 +580,66 @@ class CEngine:
         i32, i64, u8, f64 = (
             ctypes.c_int32, ctypes.c_int64, ctypes.c_uint8, ctypes.c_double,
         )
+        leaf_id, leaf_ni, leaf_path = leaf_cols or (None,) * 3
+        tops_ni, leaf_top, leaf_d = ll_cols or (None,) * 3
+        p_jv, rank_jv = jv_cols or (None, None)
+        entry_ni, entry_off, entry_slot, entry_steps = e_cols or (None,) * 4
+        ev_time, ev_kind, ev_arg = ev_cols or (None,) * 3
         args = _KernelArgs(
             n_jobs=n,
-            n_nodes=n_nodes,
+            n_nodes=len(self._order),
             max_path=max_path,
             max_events=self.max_events,
             policy_kind=kind,
             use_agg=1 if kind == 2 else 0,
-            n_entries=len(e_cols[0]) if e_cols else 0,
-            n_tops=len(ll_cols[0]) if ll_cols else 0,
-            n_cands=len(ll_cols[1]) if ll_cols else 0,
+            n_leaves=len(leaf_id) if leaf_cols else 0,
+            n_entries=len(entry_ni) if e_cols else 0,
+            n_tops=len(tops_ni) if ll_cols else 0,
             n_paths=len(self._paths),
             n_dyn=len(self._dyn),
-            weight=weight,
-            chain_off=_ptr(chain_off, i32),
-            chain_concat=_ptr(chain_concat, i32),
-            is_leaf=_ptr(is_leaf, u8),
-            enc=_ptr(enc, u8),
-            speed=_ptr(speed, f64),
+            weight=self._weight,
+            ftol_atol=REMAINING_ATOL,
+            ftol_rtol=REMAINING_RTOL,
+            chain_off=_ptr(self._chain_off_a, i32),
+            chain_concat=_ptr(self._chain_concat_a, i32),
+            is_leaf=_ptr(self._is_leaf_a, u8),
+            enc=_ptr(self._enc_a, u8),
+            speed=_ptr(self._speed_a, f64),
             path_off=_ptr(path_off, i32),
             path_len=_ptr(path_len, i32),
             path_concat=_ptr(path_concat, i32),
-            rel=_ptr(rel, f64),
-            size=_ptr(size, f64),
+            rel=_ptr(self._rel_a, f64),
+            size=_ptr(self._size_a, f64),
             p_est=_ptr(self._p_est_a, f64),
             job_id=_ptr(self._ids_a, i64),
-            ftol_size=_ptr(ftol_size, f64),
-            rank=_ptr(rank, i64),
-            leaf_rank=_ptr(leaf_rank, i64),
+            ftol_size=_ptr(self._ftol_size_a, f64),
+            rank=_ptr(self._rank_a, i64),
             job_path_id=_ptr(job_path_id, i32),
             p_leaf_in=_ptr(p_leaf, f64),
             ftol_leaf_in=_ptr(ftol_leaf, f64),
-            entry_ni=_ptr(e_cols[0], i32) if e_cols else None,
-            entry_leaf_off=_ptr(e_cols[1], i32) if e_cols else None,
-            entry_leaf_id=_ptr(e_cols[2], i64) if e_cols else None,
-            entry_leaf_steps=_ptr(e_cols[3], f64) if e_cols else None,
-            entry_leaf_path=_ptr(e_cols[4], i32) if e_cols else None,
-            tops_ni=_ptr(ll_cols[0], i32) if ll_cols else None,
-            cand_leaf_id=_ptr(ll_cols[1], i64) if ll_cols else None,
-            cand_leaf_ni=_ptr(ll_cols[2], i32) if ll_cols else None,
-            cand_top_pos=_ptr(ll_cols[3], i32) if ll_cols else None,
-            cand_d=_ptr(ll_cols[4], f64) if ll_cols else None,
-            cand_path=_ptr(ll_cols[5], i32) if ll_cols else None,
-            ev_time=_ptr(ev_cols[0], f64) if ev_cols else None,
-            ev_kind=_ptr(ev_cols[1], i32) if ev_cols else None,
-            ev_arg=_ptr(ev_cols[2], i32) if ev_cols else None,
+            leaf_rank_in=_ptr(leaf_rank, i64),
+            leaf_id=_ptr(leaf_id, i64),
+            leaf_ni=_ptr(leaf_ni, i32),
+            leaf_path=_ptr(leaf_path, i32),
+            p_jv=_ptr(p_jv, f64),
+            rank_jv=_ptr(rank_jv, i32),
+            entry_ni=_ptr(entry_ni, i32),
+            entry_leaf_off=_ptr(entry_off, i32),
+            entry_leaf_slot=_ptr(entry_slot, i32),
+            entry_leaf_steps=_ptr(entry_steps, f64),
+            tops_ni=_ptr(tops_ni, i32),
+            leaf_top=_ptr(leaf_top, i32),
+            leaf_d=_ptr(leaf_d, f64),
+            ev_time=_ptr(ev_time, f64),
+            ev_kind=_ptr(ev_kind, i32),
+            ev_arg=_ptr(ev_arg, i32),
             out_path_id=_ptr(out_path_id, i32),
             out_avail=_ptr(out_avail, f64),
             out_avail_cnt=_ptr(out_avail_cnt, i32),
             out_comp=_ptr(out_comp, f64),
             out_comp_cnt=_ptr(out_comp_cnt, i32),
             out_deficit=_ptr(out_deficit, f64),
-            out_cancel=_ptr(out_cancel, f64) if ev_cols else None,
+            out_cancel=_ptr(out_cancel, f64),
             out_num_events=_ptr(out_num_events, i64),
         )
         status = self._dll.repro_run(ctypes.byref(args))
@@ -624,16 +651,17 @@ class CEngine:
         if status != 0:
             raise SimulationError(f"engine kernel failed with status {status}")
 
-        # Per-job exact integrals, summed in arrival order.  The count
-        # and scalar columns drop to plain python lists up front so the
-        # loop touches no numpy scalars (tolist converts exactly).
+        # Per-job exact integrals, summed in arrival order.  Every output
+        # column drops to plain python lists up front (tolist converts
+        # exactly), so the loop slices lists and touches no numpy scalars.
         frac = 0.0
         alive_integral = 0.0
         records: dict[int, JobRecord] = {}
+        unfinished: list[int] = []
         paths = self._paths
         pid_l = out_path_id.tolist()
-        avail_rows = out_avail.reshape(n, max_path)
-        comp_rows = out_comp.reshape(n, max_path)
+        avail_rows = out_avail.reshape(n, max_path).tolist()
+        comp_rows = out_comp.reshape(n, max_path).tolist()
         avail_cnt = out_avail_cnt.tolist()
         comp_cnt = out_comp_cnt.tolist()
         deficit_l = out_deficit.tolist()
@@ -645,30 +673,34 @@ class CEngine:
         )
         for i, job in enumerate(jobs):
             path_ids = paths[pid_l[i]]
-            comp = comp_rows[i, : comp_cnt[i]].tolist()
+            # A full row is the record's list as is (no copy allocated).
+            comp = comp_rows[i]
+            if comp_cnt[i] < max_path:
+                comp = comp[: comp_cnt[i]]
+            avail = avail_rows[i]
+            if avail_cnt[i] < max_path:
+                avail = avail[: avail_cnt[i]]
             ct = cancel_l[i]
             records[job.id] = JobRecord(
-                job_id=job.id,
-                release=job.release,
-                leaf=path_ids[-1],
-                path=path_ids,
-                available_at=avail_rows[i, : avail_cnt[i]].tolist(),
-                completed_at=comp,
-                cancelled_at=ct,
-                size_estimate=job.size_estimate,
+                job.id, job.release, path_ids[-1], path_ids, avail, comp, ct,
+                job.size_estimate,
             )
             if ct is not None:
                 # Truncated model: a cancelled job contributes its flow
                 # up to the cancel instant, fractional deficit included.
                 flow = ct - job.release
-            elif len(comp) == len(path_ids) and comp:
+            elif len(comp) == len(path_ids):
                 flow = comp[-1] - job.release
             else:
+                unfinished.append(job.id)
                 continue
             alive_integral += flow
             frac += flow - deficit_l[i]
+        # SimulationResult.verify_complete's check, from the loop's tally.
+        if unfinished:
+            raise SimulationError(f"jobs did not complete: {unfinished[:10]}")
 
-        result = SimulationResult(
+        return SimulationResult(
             instance=self.instance,
             speeds=self.speeds,
             records=records,
@@ -679,8 +711,6 @@ class CEngine:
             counters=None,
             trace=None,
         )
-        result.verify_complete()
-        return result
 
 
 def simulate_c(

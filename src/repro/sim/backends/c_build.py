@@ -64,7 +64,7 @@ __all__ = [
 #: Kernel ABI version; must match ``REPRO_KERNEL_ABI`` in the C source.
 #: Part of the cache key *and* verified against the loaded library's
 #: ``repro_abi_version()`` export.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: Compiler commands tried in order when ``REPRO_CC`` is unset.
 _CANDIDATE_CCS = ("cc", "gcc", "clang")
@@ -111,7 +111,18 @@ def find_compiler() -> str | None:
 
 
 def compiler_version(cc: str) -> str | None:
-    """First line of ``cc --version``, or ``None`` if it won't run."""
+    """First line of ``cc --version``, or ``None`` if it won't run.
+
+    Memoized per compiler command for the life of the process (cleared
+    by :func:`_reset_probe`), so a warm :func:`load_kernel` spawns no
+    process.
+    """
+    if cc not in _CC_VERSION:
+        _CC_VERSION[cc] = _probe_compiler_version(cc)
+    return _CC_VERSION[cc]
+
+
+def _probe_compiler_version(cc: str) -> str | None:
     try:
         out = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, timeout=30
@@ -192,6 +203,8 @@ def build_library(
 # One entry per loaded library path: ctypes handles stay alive for the
 # process, so repeated simulate() calls pay zero build/load cost.
 _LOADED: dict[Path, ctypes.CDLL] = {}
+# Compiler command -> its ``--version`` identity line (None: won't run).
+_CC_VERSION: dict[str, str | None] = {}
 # Memoized availability probe: (ok, reason).  Reset by tests that
 # monkeypatch discovery.
 _PROBE: tuple[bool, str | None] | None = None
@@ -244,9 +257,11 @@ def availability() -> tuple[bool, str | None]:
 
 
 def _reset_probe() -> None:
-    """Forget the memoized availability verdict (test hook)."""
+    """Forget the memoized availability verdict and compiler identities
+    (test hook)."""
     global _PROBE
     _PROBE = None
+    _CC_VERSION.clear()
 
 
 def toolchain_info() -> dict:

@@ -34,9 +34,11 @@
  *      because the F-value summation iterates the heap in array order —
  *      the same comparison outcomes must produce the same array layout.
  *   3. Heap entries are packed int64s `(rank << 32) | job_index`.
- *      Ranks are unique per node, so packed comparisons order exactly
- *      like the engine's `(key, job_id)` tuples, and the payload
- *      decodes in O(1).
+ *      A rank orders like the engine's key, and equal ranks (the dense
+ *      p_{j,v} ranks of unrelated-setting leaf heaps) fall back to the
+ *      job index, which is (release, id) order — so packed comparisons
+ *      order exactly like the engine's `(key, job_id)` tuples, and the
+ *      payload decodes in O(1).
  *
  * The one quantity that is *not* schedule-determined is `num_events`:
  * when two hop completions on adjacent nodes land on the same instant,
@@ -46,6 +48,15 @@
  * each completion it processes (plus every arrival and dynamic event),
  * so the two counters can differ by the number of such same-instant
  * collisions; the recorded schedules do not.
+ *
+ * Policies run in one of four plans (`policy_kind`).  Static policies
+ * arrive as a precomputed path per job.  The paper's greedy rule and
+ * the least-loaded baseline run here against the live node state: greedy
+ * prices F at each root-adjacent entry and, in its unrelated-endpoint
+ * form, F' per leaf over the leaf's alive jobs in ascending job id (the
+ * reference's summation order).  In the unrelated setting those plans
+ * read one n x leaves `p_{j,v}` column (`inf` marks a forbidden leaf,
+ * which no plan ever picks) and its ranks for the SJF leaf heaps.
  *
  * The Python side (`c_backend.py`) precomputes every input column,
  * allocates every output buffer, and assembles `SimulationResult`; the
@@ -59,7 +70,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_KERNEL_ABI 2
+#define REPRO_KERNEL_ABI 3
 
 #define IDX_MASK 0xffffffffLL
 
@@ -80,14 +91,17 @@ typedef struct {
     int64_t n_nodes;
     int64_t max_path;
     int64_t max_events;
-    int64_t policy_kind; /* 0 fixed, 1 greedy-identical, 2 least-loaded */
+    int64_t policy_kind; /* 0 static, 1 greedy-identical, 2 least-loaded,
+                          * 3 greedy-unrelated */
     int64_t use_agg;     /* maintain congestion aggregates (kind 2) */
+    int64_t n_leaves;    /* leaf-table rows (kinds 1-3) */
     int64_t n_entries;
     int64_t n_tops;
-    int64_t n_cands;
     int64_t n_paths;
     int64_t n_dyn;       /* dynamic events; 0 leaves every ev_* NULL */
     double weight;       /* greedy 6/eps^2 */
+    double ftol_atol;    /* finished_tol's absolute and relative parts */
+    double ftol_rtol;
     /* topology (dense preorder node index, root excluded) */
     const int32_t *chain_off;    /* [n_nodes + 1] */
     const int32_t *chain_concat; /* ancestor chains, root-adjacent..node */
@@ -105,25 +119,30 @@ typedef struct {
     const int64_t *job_id;    /* [n_jobs] */
     const double *ftol_size;  /* [n_jobs] */
     const int64_t *rank;      /* [n_jobs] node-key rank (sjf or fifo) */
-    const int64_t *leaf_rank; /* [n_jobs] leaf-key rank (unrelated sjf) */
     /* policy kind 0: precomputed per-job assignment */
-    const int32_t *job_path_id; /* [n_jobs] */
-    const double *p_leaf_in;    /* [n_jobs] */
-    const double *ftol_leaf_in; /* [n_jobs] */
-    /* policy kind 1: GreedyIdentical's branches (root-adjacent entries)
-     * and the leaves under each */
+    const int32_t *job_path_id;  /* [n_jobs] */
+    const double *p_leaf_in;     /* [n_jobs] */
+    const double *ftol_leaf_in;  /* [n_jobs] */
+    const int64_t *leaf_rank_in; /* [n_jobs] leaf-key rank (unrelated sjf;
+                                  * NULL when no leaf heap reads it) */
+    /* kinds 1-3: the leaf table, one row (slot) per leaf in tree order */
+    const int64_t *leaf_id;  /* [n_leaves] */
+    const int32_t *leaf_ni;  /* [n_leaves] node index */
+    const int32_t *leaf_path; /* [n_leaves] path id */
+    /* kinds 2-3, unrelated setting (NULL in the identical one, where
+     * p_{j,v} == p_j): per-job, per-slot columns, row-major by job */
+    const double *p_jv;     /* [n_jobs * n_leaves], inf = forbidden */
+    const int32_t *rank_jv; /* [n_jobs * n_leaves] per-leaf sjf rank (NULL
+                             * under fifo, whose leaf heaps use `rank`) */
+    /* greedy (kinds 1, 3): the root-adjacent entries and their leaves */
     const int32_t *entry_ni;         /* [n_entries] root-adjacent nodes */
     const int32_t *entry_leaf_off;   /* [n_entries + 1] */
-    const int64_t *entry_leaf_id;    /* leaf ids, per branch */
+    const int32_t *entry_leaf_slot;  /* leaf slots, per branch */
     const double *entry_leaf_steps;  /* their steps below the root */
-    const int32_t *entry_leaf_path;  /* their path ids */
-    /* policy kind 2: least-loaded candidate layout */
-    const int32_t *tops_ni;      /* [n_tops] root children, in order */
-    const int64_t *cand_leaf_id; /* [n_cands] */
-    const int32_t *cand_leaf_ni; /* [n_cands] */
-    const int32_t *cand_top_pos; /* [n_cands] index into tops */
-    const double *cand_d;        /* [n_cands] d_v as a double */
-    const int32_t *cand_path;    /* [n_cands] path id */
+    /* least-loaded (kind 2) */
+    const int32_t *tops_ni;  /* [n_tops] root children, in order */
+    const int32_t *leaf_top; /* [n_leaves] index into tops */
+    const double *leaf_d;    /* [n_leaves] d_v as a double */
     /* dynamic events, in schedule order */
     const double *ev_time; /* [n_dyn] */
     const int32_t *ev_kind; /* [n_dyn] EV_DOWN / EV_UP / EV_CANCEL */
@@ -145,8 +164,8 @@ typedef struct {
     double steps;     /* min steps below the root */
     int64_t tie_leaf; /* the min-(steps, leaf) leaf ... */
     int64_t min_leaf; /* ... and the min leaf (weight_p == 0) */
-    int32_t tie_path; /* their path ids */
-    int32_t min_path;
+    int32_t tie_slot; /* their leaf slots */
+    int32_t min_slot;
     uint8_t keep;     /* some leaf of the branch is unblocked */
 } Branch;
 
@@ -182,13 +201,20 @@ typedef struct {
     int32_t *jpath_len;
     double *p_leaf;
     double *ftol_leaf;
+    int64_t *leaf_rank; /* leaf-heap rank, fixed at assignment */
     double *prev_end;
     /* policy scratch */
     Branch *branch;   /* n_entries: every leaf counted */
     Branch *filtered; /* n_entries: outage-blocked leaves dropped */
     double *bases;    /* n_entries */
     double *top_load; /* n_tops */
-    uint8_t *keep;    /* n_cands: unblocked least-loaded candidates */
+    uint8_t *keep;    /* n_leaves: unblocked least-loaded candidates */
+    /* greedy-unrelated: each leaf's assigned jobs as a list linked through
+     * `at_next`, in ascending job id; finished and cancelled jobs are
+     * unlinked lazily by the F' scan that passes them */
+    int32_t *at_head; /* n_leaves, -1 = empty */
+    int32_t *at_tail; /* n_leaves */
+    int32_t *at_next; /* n */
 } K;
 
 int repro_abi_version(void) { return REPRO_KERNEL_ABI; }
@@ -306,7 +332,7 @@ static inline void emit(K *k, long nxt, double t, long ji, int allow_fused) {
      * tuple; the per-leaf rank orders identically. */
     size_t p = (size_t)nxt * k->n + k->pend_len[nxt]++;
     k->pend_t[p] = t;
-    k->pend_key[p] = pack(a->enc[nxt] ? a->rank[ji] : a->leaf_rank[ji], ji);
+    k->pend_key[p] = pack(a->enc[nxt] ? a->rank[ji] : k->leaf_rank[ji], ji);
     k->pend_idx[p] = (int32_t)ji;
     if (t < k->node_next[nxt])
         k->node_next[nxt] = t;
@@ -618,7 +644,7 @@ static void admit_now(K *k, long ni, double t, long i) {
     const KernelArgs *a = k->a;
     int64_t *heap = k->heap + (size_t)ni * k->n;
     long hlen = k->heap_len[ni];
-    int64_t key = pack(a->enc[ni] ? a->rank[i] : a->leaf_rank[i], i);
+    int64_t key = pack(a->enc[ni] ? a->rank[i] : k->leaf_rank[i], i);
     long active = k->actives[ni];
     if (k->down[ni] || (active >= 0 && heap[0] < key)) {
         /* A down node parks the newcomer (nothing arms until the
@@ -827,7 +853,7 @@ static inline int path_blocked(const K *k, long pid) {
     return 0;
 }
 
-/* ---- policy: greedy-identical (Section 3.4) --------------------------- */
+/* ---- policy: the greedy rule (Section 3.4) --------------------------- */
 
 /* Derive each branch's argmin record over its unblocked leaves into
  * `out` (`_entries_for`, then `_filter_branch_records` under an
@@ -840,22 +866,22 @@ static int derive_branches(const K *k, Branch *out) {
         Branch *b = &out[e];
         b->keep = 0;
         for (long q = a->entry_leaf_off[e]; q < a->entry_leaf_off[e + 1]; q++) {
-            long pid = a->entry_leaf_path[q];
-            if (k->n_down && path_blocked(k, pid)) {
+            long l = a->entry_leaf_slot[q];
+            if (k->n_down && path_blocked(k, a->leaf_path[l])) {
                 changed = 1;
                 continue;
             }
             double s = a->entry_leaf_steps[q];
-            int64_t leaf = a->entry_leaf_id[q];
+            int64_t leaf = a->leaf_id[l];
             if (!b->keep || s < b->steps ||
                 (s == b->steps && leaf < b->tie_leaf)) {
                 b->steps = s;
                 b->tie_leaf = leaf;
-                b->tie_path = (int32_t)pid;
+                b->tie_slot = (int32_t)l;
             }
             if (!b->keep || leaf < b->min_leaf) {
                 b->min_leaf = leaf;
-                b->min_path = (int32_t)pid;
+                b->min_slot = (int32_t)l;
             }
             b->keep = 1;
         }
@@ -864,50 +890,54 @@ static int derive_branches(const K *k, Branch *out) {
     return changed && any;
 }
 
-static long assign_greedy(K *k, long i, double now) {
+/* F(j, ni) at root-adjacent node `ni` (`f_top_value`'s hot path): sync
+ * the node, then sum its heap in array order.  Policies score the
+ * masked job: its size estimate, compared as the SJF tuple
+ * (p, release, id) against queued jobs' true sizes — their leaf sizes
+ * when the root-adjacent node is itself a leaf. */
+static double f_top(K *k, long ni, long i, double now) {
     const KernelArgs *a = k->a;
-    /* Policies score the masked job: its size estimate, compared as
-     * the SJF tuple (p, release, id) against queued jobs' true sizes. */
+    if (k->node_next[ni] <= now)
+        advance_node(k, ni, now);
     double p_j = a->p_est[i];
-    double weight_p = a->weight * p_j;
+    double total = p_j;
+    long hl = k->heap_len[ni];
+    if (!hl)
+        return total;
+    const int64_t *h = k->heap + (size_t)ni * k->n;
+    const double *p_col = a->is_leaf[ni] ? k->p_leaf : a->size;
     double rel_j = a->rel[i];
     int64_t id_j = a->job_id[i];
+    long active = k->actives[ni];
+    double live = 0.0;
+    if (active >= 0) {
+        live = k->arems[ni] - a->speed[ni] * (now - k->astarts[ni]);
+        if (live < 0.0)
+            live = 0.0;
+    }
+    for (long q = 0; q < hl; q++) {
+        long idx = (long)(h[q] & IDX_MASK);
+        double p_i = p_col[idx];
+        if (p_i < p_j ||
+            (p_i == p_j &&
+             (a->rel[idx] < rel_j ||
+              (a->rel[idx] == rel_j && a->job_id[idx] < id_j))))
+            total += idx == active ? live : k->rem[idx];
+        else if (p_i > p_j)
+            total += p_j;
+    }
+    return total;
+}
+
+static long assign_greedy(K *k, long i, double now) {
+    const KernelArgs *a = k->a;
+    double weight_p = a->weight * a->p_est[i];
     const Branch *br = k->branch;
     if (k->n_down && derive_branches(k, k->filtered))
         br = k->filtered;
-    /* F(j, ·) over the root-adjacent entries: sync each entry, then sum
-     * its heap in array order (f_top_value's hot path). */
-    for (long e = 0; e < a->n_entries; e++) {
-        if (!br[e].keep)
-            continue;
-        long ni = a->entry_ni[e];
-        if (k->node_next[ni] <= now)
-            advance_node(k, ni, now);
-        double total = p_j;
-        long hl = k->heap_len[ni];
-        if (hl) {
-            int64_t *h = k->heap + (size_t)ni * k->n;
-            long active = k->actives[ni];
-            double live = 0.0;
-            if (active >= 0) {
-                live = k->arems[ni] - a->speed[ni] * (now - k->astarts[ni]);
-                if (live < 0.0)
-                    live = 0.0;
-            }
-            for (long q = 0; q < hl; q++) {
-                long idx = (long)(h[q] & IDX_MASK);
-                double p_i = a->size[idx];
-                if (p_i < p_j ||
-                    (p_i == p_j &&
-                     (a->rel[idx] < rel_j ||
-                      (a->rel[idx] == rel_j && a->job_id[idx] < id_j))))
-                    total += idx == active ? live : k->rem[idx];
-                else if (p_i > p_j)
-                    total += p_j;
-            }
-        }
-        k->bases[e] = total;
-    }
+    for (long e = 0; e < a->n_entries; e++)
+        if (br[e].keep)
+            k->bases[e] = f_top(k, a->entry_ni[e], i, now);
     if (k->status)
         return -1;
     /* Argmin with the policy's exact tie-breaks. */
@@ -932,7 +962,138 @@ static long assign_greedy(K *k, long i, double now) {
     }
     if (best_pos < 0)
         return -1;
-    return weight_p > 0.0 ? br[best_pos].tie_path : br[best_pos].min_path;
+    return weight_p > 0.0 ? br[best_pos].tie_slot : br[best_pos].min_slot;
+}
+
+/* F'(j, v) at leaf slot `l` (`f_prime_value`'s hot path): sync the
+ * leaf's chain, then sum over the leaf's alive jobs in ascending job
+ * id.  A job still upstream counts its full p_{i,v}, the job in service
+ * its live residual; finished and cancelled jobs are unlinked here. */
+static double f_prime(K *k, long l, long i, double p_jv, double now) {
+    const KernelArgs *a = k->a;
+    long lni = a->leaf_ni[l];
+    sync_chain(k, lni, now);
+    double total = p_jv;
+    double rel_j = a->rel[i];
+    int64_t id_j = a->job_id[i];
+    long active = k->actives[lni];
+    int32_t *next = k->at_next;
+    long prev = -1;
+    for (long q = k->at_head[l]; q >= 0;) {
+        long nq = next[q];
+        long plen = k->jpath_len[q];
+        if (k->hop[q] >= plen) {
+            if (prev < 0)
+                k->at_head[l] = (int32_t)nq;
+            else
+                next[prev] = (int32_t)nq;
+            if (nq < 0)
+                k->at_tail[l] = (int32_t)prev;
+            q = nq;
+            continue;
+        }
+        double p_iv = k->p_leaf[q];
+        double rem;
+        if (k->hop[q] == plen - 1) { /* physically at the leaf */
+            if (q == active) {
+                rem = k->arems[lni] - a->speed[lni] * (now - k->astarts[lni]);
+                if (rem < 0.0)
+                    rem = 0.0;
+            } else {
+                rem = k->rem[q];
+            }
+        } else { /* still upstream: the full leaf requirement remains */
+            rem = p_iv;
+        }
+        if (p_iv < p_jv ||
+            (p_iv == p_jv &&
+             (a->rel[q] < rel_j || (a->rel[q] == rel_j && a->job_id[q] < id_j))))
+            total += rem;
+        else if (p_iv > p_jv)
+            total += p_jv * rem / p_iv;
+        prev = q;
+        q = nq;
+    }
+    return total;
+}
+
+/* Link job `i` into leaf slot `l`'s list, keeping ascending job id
+ * (an append whenever ids rise with release order). */
+static void at_insert(K *k, long l, long i) {
+    const int64_t *id = k->a->job_id;
+    int32_t *next = k->at_next;
+    long tail = k->at_tail[l];
+    if (tail < 0 || id[tail] < id[i]) {
+        next[i] = -1;
+        if (tail < 0)
+            k->at_head[l] = (int32_t)i;
+        else
+            next[tail] = (int32_t)i;
+        k->at_tail[l] = (int32_t)i;
+        return;
+    }
+    long prev = -1;
+    long q = k->at_head[l];
+    while (id[q] < id[i]) {
+        prev = q;
+        q = next[q];
+    }
+    next[i] = (int32_t)q;
+    if (prev < 0)
+        k->at_head[l] = (int32_t)i;
+    else
+        next[prev] = (int32_t)i;
+}
+
+/* p_{j,v} of job `i` at leaf slot `l`, as the masked job reports it. */
+static inline double p_on_slot(const K *k, long i, long l) {
+    const KernelArgs *a = k->a;
+    return a->p_jv ? a->p_jv[(size_t)i * a->n_leaves + l] : a->p_est[i];
+}
+
+/* GreedyUnrelatedAssignment: F + F' + weight * p_j * steps per feasible
+ * leaf.  Down-aware with its unfiltered rescan: when every feasible leaf
+ * sits behind an outage, the leaves are rescored ignoring it. */
+static long assign_greedy_unrelated(K *k, long i, double now) {
+    const KernelArgs *a = k->a;
+    double weight_p = a->weight * a->p_est[i];
+    int filter = k->n_down > 0;
+    for (;;) {
+        long best = -1;
+        int64_t best_leaf = 0;
+        double best_score = INFINITY;
+        for (long e = 0; e < a->n_entries; e++) {
+            double base = 0.0;
+            int priced = 0;
+            for (long q = a->entry_leaf_off[e]; q < a->entry_leaf_off[e + 1];
+                 q++) {
+                long l = a->entry_leaf_slot[q];
+                double p_jv = p_on_slot(k, i, l);
+                if (isinf(p_jv))
+                    continue;
+                if (filter && path_blocked(k, a->leaf_path[l]))
+                    continue;
+                if (!priced) {
+                    base = f_top(k, a->entry_ni[e], i, now);
+                    priced = 1;
+                }
+                double score = base + f_prime(k, l, i, p_jv, now) +
+                               weight_p * a->entry_leaf_steps[q];
+                int64_t leaf = a->leaf_id[l];
+                if (score < best_score ||
+                    (score == best_score && (best < 0 || leaf < best_leaf))) {
+                    best_score = score;
+                    best_leaf = leaf;
+                    best = l;
+                }
+            }
+        }
+        if (k->status)
+            return -1;
+        if (best >= 0 || !filter)
+            return best;
+        filter = 0;
+    }
 }
 
 /* ---- policy: least-loaded --------------------------------------------- */
@@ -950,16 +1111,23 @@ static inline double live_processed(K *k, long ni, double now) {
 
 static long assign_least_loaded(K *k, long i, double now) {
     const KernelArgs *a = k->a;
-    /* Down-aware: candidates whose path crosses a down node drop out,
-     * unless that would drop every candidate. */
+    long n_leaves = a->n_leaves;
+    const double *p_jv = a->p_jv ? a->p_jv + (size_t)i * n_leaves : NULL;
+    /* Down-aware: feasible candidates whose path crosses a down node
+     * drop out, unless that would drop every feasible candidate. */
     const uint8_t *keep = NULL;
     if (k->n_down) {
-        long kept = 0;
-        for (long c = 0; c < a->n_cands; c++) {
-            k->keep[c] = (uint8_t)!path_blocked(k, a->cand_path[c]);
-            kept += k->keep[c];
+        long kept = 0, feasible = 0;
+        for (long c = 0; c < n_leaves; c++) {
+            uint8_t ok = 0;
+            if (!p_jv || !isinf(p_jv[c])) {
+                feasible += 1;
+                ok = (uint8_t)!path_blocked(k, a->leaf_path[c]);
+            }
+            k->keep[c] = ok;
+            kept += ok;
         }
-        if (kept && kept < a->n_cands)
+        if (kept && kept < feasible)
             keep = k->keep;
     }
     /* top_load = {top: queue_volume_at(top)} in root_children order. */
@@ -977,14 +1145,24 @@ static long assign_least_loaded(K *k, long i, double now) {
         }
         k->top_load[tpos] = v;
     }
-    double p = a->p_est[i]; /* the masked job's own path volume */
+    /* The masked job's own path volume: d·p for uniform sizes, and
+     * (d-1)·p + p_{j,v} over per-leaf sizes (the two round differently). */
+    double p = a->p_est[i];
     long best_pos = -1;
     int64_t best_leaf = 0;
     double best_score = INFINITY;
-    for (long c = 0; c < a->n_cands; c++) {
+    for (long c = 0; c < n_leaves; c++) {
         if (keep && !keep[c])
             continue;
-        long lni = a->cand_leaf_ni[c];
+        double own;
+        if (p_jv) {
+            if (isinf(p_jv[c]))
+                continue;
+            own = (a->leaf_d[c] - 1.0) * p + p_jv[c];
+        } else {
+            own = a->leaf_d[c] * p;
+        }
+        long lni = a->leaf_ni[c];
         sync_chain(k, lni, now); /* volume_through syncs the leaf chain */
         double vol;
         if (k->tc[lni] == 0) {
@@ -994,9 +1172,8 @@ static long assign_least_loaded(K *k, long i, double now) {
             if (!(vol > 0.0))
                 vol = 0.0;
         }
-        double own = a->cand_d[c] * p;
-        double score = k->top_load[a->cand_top_pos[c]] + vol + own;
-        int64_t leaf = a->cand_leaf_id[c];
+        double score = k->top_load[a->leaf_top[c]] + vol + own;
+        int64_t leaf = a->leaf_id[c];
         if (score < best_score ||
             (score == best_score && (best_pos < 0 || leaf < best_leaf))) {
             best_score = score;
@@ -1006,7 +1183,7 @@ static long assign_least_loaded(K *k, long i, double now) {
     }
     if (k->status)
         return -1;
-    return best_pos >= 0 ? a->cand_path[best_pos] : -1;
+    return best_pos;
 }
 
 /* ---- entry point ----------------------------------------------------- */
@@ -1031,7 +1208,7 @@ int repro_run(const KernelArgs *a) {
     size_t mn = (size_t)m * (size_t)n;
     size_t ne = (size_t)(a->n_entries > 0 ? a->n_entries : 1);
     size_t nt = (size_t)(a->n_tops > 0 ? a->n_tops : 1);
-    size_t nk = (size_t)a->n_cands;
+    size_t nl = (size_t)(a->n_leaves > 0 ? a->n_leaves : 1);
     size_t bytes = 0;
     bytes += mn * sizeof(int64_t);        /* heap */
     bytes += mn * sizeof(double);         /* pend_t */
@@ -1040,12 +1217,14 @@ int repro_run(const KernelArgs *a) {
     bytes += (size_t)m * sizeof(long) * 6;/* heap_len pend_len pis actives tc + pad */
     bytes += (size_t)m * sizeof(double) * 5; /* astarts arems node_next tv qv */
     bytes += (size_t)n * sizeof(double) * 4; /* rem p_leaf ftol_leaf prev_end */
+    bytes += (size_t)n * sizeof(int64_t);    /* leaf_rank */
     bytes += (size_t)n * sizeof(long);       /* hop */
-    bytes += (size_t)n * sizeof(int32_t) * 2; /* jpath_off jpath_len */
+    bytes += (size_t)n * sizeof(int32_t) * 3; /* jpath_off jpath_len at_next */
     bytes += ne * sizeof(Branch) * 2;         /* branch filtered */
     bytes += ne * sizeof(double);             /* bases */
     bytes += nt * sizeof(double);             /* top_load */
-    bytes += (size_t)m + nk;                  /* down keep */
+    bytes += nl * sizeof(int32_t) * 2;        /* at_head at_tail */
+    bytes += (size_t)m + nl;                  /* down keep */
     char *blob = (char *)malloc(bytes);
     if (!blob)
         return ST_NOMEM;
@@ -1071,6 +1250,7 @@ int repro_run(const KernelArgs *a) {
     TAKE(p_leaf, double, n);
     TAKE(ftol_leaf, double, n);
     TAKE(prev_end, double, n);
+    TAKE(leaf_rank, int64_t, n);
     TAKE(hop, long, n);
     TAKE(jpath_off, int32_t, n);
     TAKE(jpath_len, int32_t, n);
@@ -1078,8 +1258,11 @@ int repro_run(const KernelArgs *a) {
     TAKE(filtered, Branch, ne);
     TAKE(bases, double, ne);
     TAKE(top_load, double, nt);
+    TAKE(at_next, int32_t, n);
+    TAKE(at_head, int32_t, nl);
+    TAKE(at_tail, int32_t, nl);
     TAKE(down, uint8_t, m);
-    TAKE(keep, uint8_t, nk);
+    TAKE(keep, uint8_t, nl);
 #undef TAKE
 
     for (long ni = 0; ni < m; ni++) {
@@ -1107,13 +1290,19 @@ int repro_run(const KernelArgs *a) {
         a->out_avail[(size_t)i * k.mp] = a->rel[i];
         a->out_avail_cnt[i] = 1;
         a->out_comp_cnt[i] = 0;
+        k.leaf_rank[i] = 0;
         if (a->policy_kind == 0) {
             k.p_leaf[i] = a->p_leaf_in[i];
             k.ftol_leaf[i] = a->ftol_leaf_in[i];
+            if (a->leaf_rank_in)
+                k.leaf_rank[i] = a->leaf_rank_in[i];
         }
     }
+    for (size_t l = 0; l < nl; l++)
+        k.at_head[l] = k.at_tail[l] = -1;
 
     long kind = (long)a->policy_kind;
+    long n_leaves = (long)a->n_leaves;
     if (kind == 1)
         derive_branches(&k, k.branch); /* nothing is down yet */
     long n_dyn = (long)a->n_dyn;
@@ -1129,19 +1318,32 @@ int repro_run(const KernelArgs *a) {
         if (kind == 0) {
             path_id = a->job_path_id[i];
         } else {
-            /* Identical setting: p_{j,leaf} == p_j whichever leaf the
-             * policy picks, so the leaf columns are fixed up front. */
-            k.p_leaf[i] = a->size[i];
-            k.ftol_leaf[i] = a->ftol_size[i];
-            path_id = (kind == 1) ? assign_greedy(&k, i, now)
-                                  : assign_least_loaded(&k, i, now);
-            if (path_id < 0) {
+            long slot = kind == 1   ? assign_greedy(&k, i, now)
+                        : kind == 2 ? assign_least_loaded(&k, i, now)
+                                    : assign_greedy_unrelated(&k, i, now);
+            if (slot < 0) {
                 /* A nested advance tripped max_events, or (vacuous for
                  * validated instances) every score was NaN. */
                 if (!k.status)
                     k.status = ST_BAD_ARGS;
                 break;
             }
+            path_id = a->leaf_path[slot];
+            if (a->p_jv) {
+                size_t cell = (size_t)i * n_leaves + slot;
+                double pl = a->p_jv[cell];
+                double ft = a->ftol_rtol * pl;
+                k.p_leaf[i] = pl;
+                k.ftol_leaf[i] = ft > a->ftol_atol ? ft : a->ftol_atol;
+                if (a->rank_jv)
+                    k.leaf_rank[i] = a->rank_jv[cell];
+            } else {
+                /* Identical setting: p_{j,leaf} == p_j. */
+                k.p_leaf[i] = a->size[i];
+                k.ftol_leaf[i] = a->ftol_size[i];
+            }
+            if (kind == 3)
+                at_insert(&k, slot, i);
         }
         a->out_path_id[i] = (int32_t)path_id;
         handle_arrival(&k, i, path_id, now);

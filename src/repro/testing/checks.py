@@ -28,7 +28,8 @@ hierarchy (``docs/testing.md``) and returns the failures:
    with the identical assignment and cancellations, and per-hop times
    within ``SCHEDULE_TOL`` of the reference engine — a third
    independent implementation in the differential battery.  Cases the
-   kernel's planner declines, and hosts without a C compiler, skip it.
+   kernel's planner declines, and hosts without a C compiler, skip it;
+   a ``plans`` tally passed to :func:`run_checks` counts which.
 
 Every failure carries the check name, so the shrinker can preserve *the
 same* failure while minimising (``repro.testing.shrink``).
@@ -36,6 +37,7 @@ same* failure while minimising (``repro.testing.shrink``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.exceptions import TreeSchedError
@@ -47,7 +49,13 @@ from repro.testing.generate import FuzzCase
 from repro.testing.metamorphic import run_relations
 from repro.testing.reference import reference_simulate
 
-__all__ = ["ALL_CHECKS", "BACKEND_CHECK", "CheckFailure", "run_checks"]
+__all__ = [
+    "ALL_CHECKS",
+    "BACKEND_CHECK",
+    "PLAN_OUTCOMES",
+    "CheckFailure",
+    "run_checks",
+]
 
 #: Relative tolerance for exact-oracle agreement: both sides use the
 #: same arithmetic forms, so observed disagreement is ~1 ulp; anything
@@ -74,6 +82,11 @@ ALL_CHECKS = (
 #: not in :data:`ALL_CHECKS` because it roughly doubles per-case cost.
 BACKEND_CHECK = "backends"
 
+#: Where the backend check ran a case: on the kernel, declined by its
+#: planner (the python engine would run it), or skipped for want of a
+#: compiler.
+PLAN_OUTCOMES = ("planned", "declined", "unavailable")
+
 
 @dataclass(frozen=True)
 class CheckFailure:
@@ -91,13 +104,16 @@ def _rel_diff(a: float, b: float) -> float:
 
 
 def run_checks(
-    case: FuzzCase, *, dt: float = 0.01, checks=None
+    case: FuzzCase, *, dt: float = 0.01, checks=None, plans: Counter | None = None
 ) -> list[CheckFailure]:
     """Run the battery on one case; returns the failures (empty = pass).
 
     ``checks`` restricts the battery to a subset of :data:`ALL_CHECKS`
     (the ``engine`` run always happens — everything depends on it), and
-    may add the opt-in :data:`BACKEND_CHECK`.
+    may add the opt-in :data:`BACKEND_CHECK`.  When the backend check
+    runs, ``plans`` (if given) gains one count under
+    ``(outcome, "setting/policy")``, ``outcome`` one of
+    :data:`PLAN_OUTCOMES`.
     """
     selected = set(ALL_CHECKS if checks is None else checks)
     unknown = selected - set(ALL_CHECKS) - {BACKEND_CHECK}
@@ -318,12 +334,17 @@ def run_checks(
                 failures.append(CheckFailure("metamorphic", problem))
 
     if BACKEND_CHECK in selected:
-        failures.extend(_check_backends(case, base, assignment))
+        outcome, problems = _check_backends(case, base, assignment)
+        failures.extend(problems)
+        if plans is not None:
+            plans[outcome, f"{case.config.setting}/{case.config.policy}"] += 1
 
     return failures
 
 
-def _check_backends(case: FuzzCase, base, assignment) -> list[CheckFailure]:
+def _check_backends(
+    case: FuzzCase, base, assignment
+) -> tuple[str, list[CheckFailure]]:
     """Differential replay on the compiled kernel.
 
     The kernel promises bit-identical scheduling *decisions*, so the bar
@@ -340,13 +361,16 @@ def _check_backends(case: FuzzCase, base, assignment) -> list[CheckFailure]:
     event goes stale) depends on its event-heap insertion order — an
     implementation detail of the lazy event queue, invisible in the
     schedule.  The per-hop timelines compared here are the schedule.
+
+    Returns the plan outcome (one of :data:`PLAN_OUTCOMES`) with the
+    failures.
     """
     from repro.sim.backends import c_build
     from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
     from repro.sim.tolerances import SCHEDULE_TOL
 
     if not c_build.availability()[0]:
-        return []
+        return "unavailable", []
     try:
         eng = CEngine(
             case.instance,
@@ -355,12 +379,14 @@ def _check_backends(case: FuzzCase, base, assignment) -> list[CheckFailure]:
             priority=case.priority_fn(),
             events=case.events,
         )
-    except (CKernelInapplicable, c_build.CKernelUnavailable):
-        return []
+    except CKernelInapplicable:
+        return "declined", []
+    except c_build.CKernelUnavailable:
+        return "unavailable", []
     try:
         alt = eng.run()
     except (TreeSchedError, AssertionError) as exc:
-        return [
+        return "planned", [
             CheckFailure(
                 "backends", f"c backend raised {type(exc).__name__}: {exc}"
             )
@@ -403,7 +429,7 @@ def _check_backends(case: FuzzCase, base, assignment) -> list[CheckFailure]:
                         f"job {jid}: {label} engine {ours!r}, c {theirs!r}",
                     )
                 )
-    return failures
+    return "planned", failures
 
 
 def _dt_applicable(case: FuzzCase) -> bool:

@@ -15,12 +15,14 @@ documents, digests — is deterministic.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.testing.checks import (
     ALL_CHECKS,
     BACKEND_CHECK,
+    PLAN_OUTCOMES,
     CheckFailure,
     run_checks,
 )
@@ -63,20 +65,32 @@ class FuzzFailureRecord:
 
 @dataclass
 class FuzzSummary:
-    """Machine-readable outcome of one fuzz run."""
+    """Machine-readable outcome of one fuzz run.
+
+    ``kernel_plans`` is ``None`` unless the run had the backend check
+    on; then it maps ``(outcome, "setting/policy")`` to the number of
+    cases the check saw with that plan outcome (see
+    :data:`~repro.testing.checks.PLAN_OUTCOMES`).
+    """
 
     seed: int
     cases_run: int
     elapsed_seconds: float
     failures: list[FuzzFailureRecord] = field(default_factory=list)
     stopped_by: str = "max_cases"  # or "budget"
+    kernel_plans: Counter | None = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    def kernel_count(self, outcome: str) -> int:
+        """Cases the backend check ran with plan ``outcome``."""
+        plans = self.kernel_plans or Counter()
+        return sum(n for (o, _), n in plans.items() if o == outcome)
+
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "seed": self.seed,
             "cases_run": self.cases_run,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
@@ -84,6 +98,15 @@ class FuzzSummary:
             "ok": self.ok,
             "failures": [f.to_doc() for f in self.failures],
         }
+        if self.kernel_plans is not None:
+            by_case: dict[str, dict[str, int]] = {}
+            for (outcome, label), n in sorted(self.kernel_plans.items()):
+                by_case.setdefault(label, {})[outcome] = n
+            doc["kernel"] = {
+                **{o: self.kernel_count(o) for o in PLAN_OUTCOMES},
+                "by_case": by_case,
+            }
+        return doc
 
 
 def run_fuzz(
@@ -117,7 +140,8 @@ def run_fuzz(
         Add the opt-in cross-backend differential check: every case the
         compiled kernel can plan is also replayed on it, and must agree
         with the reference engine (and, transitively, with the exact
-        and dt oracles the battery already compares it against).
+        and dt oracles the battery already compares it against).  The
+        summary counts planned and declined cases per setting/policy.
     events:
         Extend the case stream with dynamic-event plans (node outages,
         cancellations) drawn from a separate sub-stream; the default
@@ -137,6 +161,8 @@ def run_fuzz(
         selected = selected + (BACKEND_CHECK,)
     started = time.monotonic()
     summary = FuzzSummary(seed=seed, cases_run=0, elapsed_seconds=0.0)
+    if BACKEND_CHECK in selected:
+        summary.kernel_plans = Counter()
     for case in iter_cases(seed, max_cases, events=events):
         if (
             budget_seconds is not None
@@ -144,7 +170,7 @@ def run_fuzz(
         ):
             summary.stopped_by = "budget"
             break
-        failures = run_checks(case, checks=selected)
+        failures = run_checks(case, checks=selected, plans=summary.kernel_plans)
         summary.cases_run += 1
         if failures:
             summary.failures.append(

@@ -10,6 +10,9 @@ one seeded end-to-end parity check on the S1 benchmark workload.
 
 from __future__ import annotations
 
+import subprocess
+from types import SimpleNamespace
+
 import pytest
 
 from repro import api
@@ -19,6 +22,7 @@ from repro.exceptions import SimulationError
 from repro.network.builders import datacenter_tree
 from repro.sim import backends, engine
 from repro.sim.backends import c_build
+from repro.sim.backends.c_backend import CEngine
 from repro.sim.speed import SpeedProfile
 
 _C_OK, _C_REASON = c_build.availability()
@@ -55,6 +59,24 @@ class TestCrossBackendParity:
         a = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="python")
         b = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="c")
         assert a.records == b.records
+
+
+@needs_c
+class TestResultAssembly:
+    def test_kernel_output_short_of_a_leaf_raises(self):
+        # Result assembly checks completeness from the output columns:
+        # a job the kernel left short of its leaf is an error.
+        eng = CEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
+        kernel_run = eng._dll.repro_run
+
+        def truncating_run(args_ref):
+            status = kernel_run(args_ref)
+            args_ref._obj.out_comp_cnt[3] = 1
+            return status
+
+        eng._dll = SimpleNamespace(repro_run=truncating_run)
+        with pytest.raises(SimulationError, match="jobs did not complete"):
+            eng.run()
 
 
 class TestSelection:
@@ -194,6 +216,37 @@ class TestBuildCache:
         lib2 = c_build.build_library(source_text=edited)
         assert lib2 != lib1
         assert lib2.exists()
+
+    @needs_c
+    def test_warm_load_spawns_no_process(self, monkeypatch):
+        # The compiler identity is memoized per command: once the kernel
+        # has loaded, planning a run never runs `cc --version` again.
+        c_build.load_kernel()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("spawned a process on a warm load")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        CEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
+
+    def test_reset_probe_forgets_compiler_identities(self, monkeypatch):
+        calls = []
+
+        def probe(cc):
+            calls.append(cc)
+            return "fakecc 1.0"
+
+        monkeypatch.setattr(c_build, "_probe_compiler_version", probe)
+        c_build._reset_probe()
+        try:
+            assert c_build.compiler_version("fakecc") == "fakecc 1.0"
+            assert c_build.compiler_version("fakecc") == "fakecc 1.0"
+            assert calls == ["fakecc"]
+            c_build._reset_probe()
+            c_build.compiler_version("fakecc")
+            assert calls == ["fakecc", "fakecc"]
+        finally:
+            c_build._reset_probe()
 
     def test_cache_key_covers_all_inputs(self):
         base = c_build._cache_key("src", "gcc 1.0", ("-O2",))

@@ -139,17 +139,14 @@ class TestNoFeasibleLeafErrors:
         from repro.baselines.policies import _feasible_leaves
 
         class FakeView:
-            def __init__(self, tree, instance):
+            def __init__(self, tree):
                 self.tree = tree
-                self.instance = instance
 
         tree = star_of_paths(2, 1)
-        job = Job(id=0, release=0.0, size=1.0, leaf_sizes={2: math.inf, 4: 1.0, 9: 1.0})
-
-        class FakeInstance:
-            @staticmethod
-            def processing_time(j, v):
-                return math.inf
-
+        # leaves 2 and 4 are forbidden; only the off-tree leaf 9 is finite
+        job = Job(
+            id=0, release=0.0, size=1.0,
+            leaf_sizes={2: math.inf, 4: math.inf, 9: 1.0},
+        )
         with pytest.raises(AssignmentError, match="no feasible leaf"):
-            _feasible_leaves(FakeView(tree, FakeInstance()), job)
+            _feasible_leaves(FakeView(tree), job)
