@@ -3,8 +3,9 @@
 Lemma 2: at any time, at any identical node ``v`` not adjacent to the
 root, the remaining volume of *available* higher-priority work (relative
 to a job ``j`` that still needs ``v``) is at most ``(2/ε)·p_j``.
-The audit attaches an observer to the engine and, at every event,
-evaluates the quantity for every alive job at its current node.
+The audit attaches an :class:`~repro.sim.engine.EngineSink` to the
+engine and, after every event, evaluates the quantity for every alive
+job at its current node.
 
 The grid runs one trial per ε (each trial is one observed engine run).
 
@@ -38,7 +39,7 @@ def _run_trial(spec: TrialSpec) -> dict:
     from repro.core.assignment import GreedyIdenticalAssignment
     from repro.core.potential import higher_priority_volume
     from repro.network.builders import star_of_paths
-    from repro.sim.engine import Engine, SchedulerView
+    from repro.sim.engine import Engine, EngineSink
     from repro.sim.speed import SpeedProfile
 
     eps = spec.params["eps"]
@@ -50,17 +51,24 @@ def _run_trial(spec: TrialSpec) -> dict:
     state = {"max_norm": 0.0, "checks": 0}
     top_tier = set(tree.root_children)
 
-    def observe(view: SchedulerView, kind: str, subject: int) -> None:
-        for jid in view.alive_jobs():
-            node = view.current_node_of(jid)
-            if node is None or node in top_tier:
-                continue
-            vol = higher_priority_volume(view, jid, node)
-            p_j = view.job(jid).size
-            state["max_norm"] = max(state["max_norm"], vol / p_j)
-            state["checks"] += 1
+    class Audit(EngineSink):  # every post-event state, once
+        def attach(self, engine: Engine) -> None:
+            self.view = engine.view
 
-    Engine(instance, GreedyIdenticalAssignment(eps), speeds, observer=observe).run()
+        def before_advance(self, t: float) -> None:
+            view = self.view
+            for jid in view.alive_jobs():
+                node = view.current_node_of(jid)
+                if node is None or node in top_tier:
+                    continue
+                vol = higher_priority_volume(view, jid, node)
+                p_j = view.job(jid).size
+                state["max_norm"] = max(state["max_norm"], vol / p_j)
+                state["checks"] += 1
+
+        finalize = before_advance
+
+    Engine(instance, GreedyIdenticalAssignment(eps), speeds, sink=Audit()).run()
     return {"max_norm": state["max_norm"], "checks": state["checks"]}
 
 

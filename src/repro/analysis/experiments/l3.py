@@ -39,7 +39,7 @@ def _run_trial(spec: TrialSpec) -> dict:
     from repro.core.assignment import GreedyIdenticalAssignment
     from repro.core.potential import phi_potential
     from repro.network.builders import star_of_paths
-    from repro.sim.engine import Engine, SchedulerView
+    from repro.sim.engine import Engine, EngineSink
     from repro.sim.speed import SpeedProfile
 
     eps = spec.params["eps"]
@@ -52,17 +52,24 @@ def _run_trial(spec: TrialSpec) -> dict:
     top_tier = set(tree.root_children)
     snapshots: list[tuple[int, float, float]] = []  # (job, t, phi)
 
-    def observe(view: SchedulerView, kind: str, subject: int) -> None:
-        if view.now < last_release:
-            return
-        for jid in view.alive_jobs():
-            node = view.current_node_of(jid)
-            if node is None or node in top_tier:
-                continue
-            snapshots.append((jid, view.now, phi_potential(view, jid, eps)))
+    class Snapshots(EngineSink):  # every post-event state, once
+        def attach(self, engine: Engine) -> None:
+            self.view = engine.view
+
+        def before_advance(self, t: float) -> None:
+            view = self.view
+            if view.now < last_release:
+                return
+            for jid in view.alive_jobs():
+                node = view.current_node_of(jid)
+                if node is None or node in top_tier:
+                    continue
+                snapshots.append((jid, view.now, phi_potential(view, jid, eps)))
+
+        finalize = before_advance
 
     result = Engine(
-        instance, GreedyIdenticalAssignment(eps), speeds, observer=observe
+        instance, GreedyIdenticalAssignment(eps), speeds, sink=Snapshots()
     ).run()
 
     # Realised time at which each job cleared its last identical node

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.runner import RunnerOutcome
     from repro.network.tree import TreeNetwork
     from repro.service.session import StreamSession
-    from repro.sim.engine import AssignmentPolicy
+    from repro.sim.engine import AssignmentPolicy, EngineSink
     from repro.sim.result import SimulationResult
     from repro.sim.speed import SpeedProfile
     from repro.workload.events import EventSchedule
@@ -285,7 +285,7 @@ def simulate(
     check_invariants: bool = False,
     until: float | None = None,
     counters: bool | None = None,
-    tracer=None,
+    sink: "EngineSink | None" = None,
     events: "EventSchedule | None" = None,
 ) -> "SimulationResult":
     """Simulate ``instance`` under a policy; keyword-only throughout.
@@ -313,9 +313,11 @@ def simulate(
         variable, defaulting to ``"python"``.  See
         :mod:`repro.sim.backends` for the calls ``"c"`` hands to the
         python engine.
-    record_segments / check_invariants / until / counters / tracer:
+    record_segments / check_invariants / until / counters / sink:
         Forwarded to the engine; see
-        :class:`~repro.sim.engine.Engine`.
+        :class:`~repro.sim.engine.Engine`.  A ``sink`` (for instance a
+        :class:`~repro.obs.trace.TraceRecorder`) runs the call on the
+        python engine.
     events:
         An optional :class:`~repro.workload.events.EventSchedule` of
         dynamic events (node outages, cancellations) applied during
@@ -336,7 +338,7 @@ def simulate(
         check_invariants=check_invariants,
         until=until,
         collect_counters=counters,
-        tracer=tracer,
+        sink=sink,
         events=events,
     )
 
@@ -510,7 +512,7 @@ def trace_run(
         priority=priority,
         until=until,
         counters=counters,
-        tracer=recorder,
+        sink=recorder,
     )
 
 

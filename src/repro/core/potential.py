@@ -8,8 +8,9 @@
   node, which the lemma bounds by ``(2/ε)·p_j``.
 
 Both are pure functions of a live :class:`~repro.sim.engine.SchedulerView`
-(obtained through the engine's observer hook), so experiments can audit
-the bounds at every event of a run.
+(read by an :class:`~repro.sim.engine.EngineSink` through
+:attr:`~repro.sim.engine.Engine.view`), so experiments can audit the
+bounds at every event of a run.
 """
 
 from __future__ import annotations

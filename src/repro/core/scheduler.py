@@ -43,7 +43,6 @@ def run_broomstick_algorithm(
     *,
     record_segments: bool = False,
     check_invariants: bool = False,
-    observer=None,
 ) -> SimulationResult:
     """Run the broomstick algorithm of Sections 3.4–3.6 directly.
 
@@ -61,7 +60,6 @@ def run_broomstick_algorithm(
         priority=sjf_priority,
         record_segments=record_segments,
         check_invariants=check_invariants,
-        observer=observer,
     ).run()
 
 

@@ -9,9 +9,10 @@ one-pointer-test cost when disabled, mirroring
 
 Entry points:
 
-* :class:`TraceRecorder` — pass as ``tracer=`` to the engine (or use
-  :func:`repro.api.trace_run`); the assembled
-  :class:`SimulationTrace` lands on ``SimulationResult.trace``.
+* :class:`TraceRecorder` — an :class:`~repro.sim.engine.EngineSink`:
+  pass as ``sink=`` to the engine (or use :func:`repro.api.trace_run`);
+  the assembled :class:`SimulationTrace` lands on
+  ``SimulationResult.trace``.
 * :mod:`repro.obs.export` — JSONL (lossless, schema-validated), Chrome
   trace-event JSON (Perfetto-loadable) and a per-node summary table.
 * :mod:`repro.obs.schema` — the documented ``trace/v1`` JSONL schema

@@ -1,12 +1,11 @@
 """Structured simulation tracing: span records and per-node gauges.
 
 :class:`TraceRecorder` is the engine-side collector behind the
-observability layer.  It is wired into
-:class:`~repro.sim.engine.Engine` through the same off-by-default
-pattern as :class:`~repro.sim.counters.EngineCounters`: every hook site
-costs one ``is None`` test when tracing is disabled, and the engine's
-behaviour (event order, completion times, registry output) is identical
-with tracing on or off — the recorder only observes.
+observability layer: an :class:`~repro.sim.engine.EngineSink`, passed
+as ``sink=``.  Every hook site costs one ``is None`` test when no sink
+is attached, and the engine's behaviour (event order, completion
+times, registry output) is identical with tracing on or off — the
+recorder only observes.
 
 What gets recorded
 ------------------
@@ -38,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import SimulationError
+from repro.sim.engine import EngineSink
+from repro.sim.result import JobRecord
 
 __all__ = [
     "TraceConfig",
@@ -229,8 +230,9 @@ def crosscheck_trace(result) -> list[str]:
     """Cross-check a run's trace against its other outputs.
 
     Takes a :class:`~repro.sim.result.SimulationResult` produced with
-    both ``tracer=`` and ``record_segments=True`` and returns a list of
-    human-readable discrepancy descriptions (empty when consistent):
+    both ``sink=TraceRecorder()`` and ``record_segments=True`` and
+    returns a list of human-readable discrepancy descriptions (empty
+    when consistent):
 
     * every completed job has exactly one ``finish`` point, at the
       record's completion time;
@@ -255,7 +257,7 @@ def crosscheck_trace(result) -> list[str]:
     problems: list[str] = []
     trace = result.trace
     if trace is None:
-        return ["result has no trace; run with tracer="]
+        return ["result has no trace; run with sink=TraceRecorder()"]
     retired = bool(trace.meta.get("retired"))
     finishes = {p.job_id: p for p in trace.points_of("finish")}
     if len(finishes) != len(trace.points_of("finish")):
@@ -340,13 +342,13 @@ def crosscheck_trace(result) -> list[str]:
     return problems
 
 
-class TraceRecorder:
-    """Low-overhead engine hook collecting a :class:`SimulationTrace`.
+class TraceRecorder(EngineSink):
+    """Low-overhead engine sink collecting a :class:`SimulationTrace`.
 
-    Pass one as ``tracer=`` to :class:`~repro.sim.engine.Engine` (or
-    :func:`~repro.sim.engine.simulate` /
-    :func:`repro.api.trace_run`); after the run the assembled trace is
-    available on ``SimulationResult.trace``.  A recorder observes
+    Pass one as ``sink=`` to :class:`~repro.sim.engine.Engine` (or
+    :func:`~repro.sim.engine.simulate` / :func:`repro.api.simulate`), or
+    use :func:`repro.api.trace_run`; after the run the assembled trace
+    is available on ``SimulationResult.trace``.  A recorder observes
     exactly one engine run; reusing one raises
     :class:`~repro.exceptions.SimulationError`.
     """
@@ -407,9 +409,9 @@ class TraceRecorder:
         if self._record_points:
             self._points.append(TracePoint("hop_complete", time, job_id, node))
 
-    def on_finish(self, time: float, job_id: int, leaf: int) -> None:
+    def on_finish(self, time: float, record: JobRecord) -> None:
         if self._record_points:
-            self._points.append(TracePoint("finish", time, job_id, leaf))
+            self._points.append(TracePoint("finish", time, record.job_id, record.leaf))
 
     # -- dynamic-event lifecycle (no on/off switch: event-free runs
     # without size estimates never reach these sites, so the common
@@ -420,9 +422,9 @@ class TraceRecorder:
     def on_node_up(self, time: float, node: int) -> None:
         self._events.append(TraceEvent("node_up", time, node=node))
 
-    def on_cancel(self, time: float, job_id: int, node: int) -> None:
-        """Job ``job_id`` was withdrawn while at ``node``."""
-        self._events.append(TraceEvent("cancel", time, node=node, job_id=job_id))
+    def on_cancel(self, time: float, record: JobRecord, node: int) -> None:
+        """The job of ``record`` was withdrawn while at ``node``."""
+        self._events.append(TraceEvent("cancel", time, node=node, job_id=record.job_id))
 
     def on_reveal(self, time: float, job_id: int, size: float) -> None:
         """An estimated-size job completed; its true size is revealed."""
@@ -440,9 +442,10 @@ class TraceRecorder:
         including) ``t``, using the pre-event state.
 
         Called from the engine's main loop just before simulated time
-        advances to the next event at ``t``; between events every
-        sampled quantity is either constant (queue membership) or linear
-        (busy time), so the samples are exact.
+        advances to the next event at ``t``, and at a bounded run's
+        horizon; between events every sampled quantity is either
+        constant (queue membership) or linear (busy time), so the
+        samples are exact.
         """
         if self._interval is None:
             return

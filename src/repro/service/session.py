@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
-from repro.obs.trace import TraceConfig, TraceRecorder
+from repro.obs.trace import TraceConfig, TracePoint, TraceRecorder
 from repro.service.metrics import StreamingHistogram, StreamSnapshot, WindowStats
 from repro.sim.engine import Engine, PriorityFn, sjf_priority
 
@@ -43,6 +43,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.job import Job
 
 __all__ = ["StreamSession"]
+
+
+class _SessionRecorder(TraceRecorder):
+    """The session's one engine sink: its windowed trace recorder, which
+    also tallies arrivals, completions and cancellations (cumulative and
+    per window), folds flow times into the histograms and hands records
+    to the session's callbacks.  ``on_arrival``/``on_finish`` inline the
+    base class's point recording, so each event costs one call."""
+
+    def __init__(self, config, cum_hist, win_hist, on_finish, on_cancel) -> None:
+        super().__init__(config)
+        self.cum_hist = cum_hist
+        self.win_hist = win_hist
+        self.user_on_finish = on_finish
+        self.user_on_cancel = on_cancel
+        self.arrivals_total = self.completions_total = self.cancelled_total = 0
+        self.arrivals_win = self.completions_win = self.cancelled_win = 0
+
+    def on_arrival(self, time: float, job_id: int, leaf: int) -> None:
+        self.arrivals_total += 1
+        self.arrivals_win += 1
+        if self._record_points:
+            self._points.append(TracePoint("arrival", time, job_id, leaf))
+
+    def on_finish(self, time: float, record: "JobRecord") -> None:
+        self.completions_total += 1
+        self.completions_win += 1
+        flow = record.flow_time
+        self.cum_hist.add(flow)
+        self.win_hist.add(flow)
+        if self._record_points:
+            self._points.append(TracePoint("finish", time, record.job_id, record.leaf))
+        if self.user_on_finish is not None:
+            self.user_on_finish(record)
+
+    def on_cancel(self, time: float, record: "JobRecord", node: int) -> None:
+        # A cancellation is not a completion: the censored flow time
+        # must not pollute the histograms or the completion counters.
+        self.cancelled_total += 1
+        self.cancelled_win += 1
+        super().on_cancel(time, record, node)
+        if self.user_on_cancel is not None:
+            self.user_on_cancel(record)
 
 
 class StreamSession:
@@ -85,7 +128,7 @@ class StreamSession:
         completion counters (``WindowStats.cancelled`` /
         ``StreamSnapshot.cancelled_total`` track them instead).
     on_finish:
-        Optional sink called with each finished
+        Optional callback called with each finished
         :class:`~repro.sim.result.JobRecord` — with eviction on, the
         only place completed records are observable.
     on_cancel:
@@ -124,19 +167,19 @@ class StreamSession:
         proto = histogram if histogram is not None else StreamingHistogram()
         self._hist_layout = {"low": proto.low, "high": proto.high,
                              "bins": proto.bins}
-        self._cum_hist = proto if proto.count == 0 else StreamingHistogram(
-            **self._hist_layout
-        )
-        self._win_hist = StreamingHistogram(**self._hist_layout)
-        self._recorder = TraceRecorder(
+        self._recorder = _SessionRecorder(
             TraceConfig(
                 gauge_interval=self.window,
                 record_points=record_points,
                 record_spans=record_spans,
-            )
+            ),
+            cum_hist=proto if proto.count == 0 else StreamingHistogram(
+                **self._hist_layout
+            ),
+            win_hist=StreamingHistogram(**self._hist_layout),
+            on_finish=on_finish,
+            on_cancel=on_cancel,
         )
-        self._user_on_finish = on_finish
-        self._user_on_cancel = on_cancel
         self._engine = Engine(
             instance,
             policy,
@@ -144,45 +187,14 @@ class StreamSession:
             priority=priority,
             check_invariants=check_invariants,
             max_events=None,
-            tracer=self._recorder,
+            sink=self._recorder,
             events=events,
-            on_admit=self._on_admit,
-            on_finish=self._on_finish,
-            on_cancel=self._on_cancel,
             evict_finished=evict,
         )
-        self._arrivals_total = 0
-        self._completions_total = 0
-        self._cancelled_total = 0
-        self._arrivals_win = 0
-        self._completions_win = 0
-        self._cancelled_win = 0
         self._windows_closed = 0
         self._windows: deque[WindowStats] = deque(maxlen=keep_windows)
         self._result: "SimulationResult | None" = None
         self._engine.stream_start(arrivals)
-
-    # -- engine hooks ---------------------------------------------------
-    def _on_admit(self, job: "Job") -> None:
-        self._arrivals_total += 1
-        self._arrivals_win += 1
-
-    def _on_finish(self, record: "JobRecord") -> None:
-        self._completions_total += 1
-        self._completions_win += 1
-        flow = record.flow_time
-        self._cum_hist.add(flow)
-        self._win_hist.add(flow)
-        if self._user_on_finish is not None:
-            self._user_on_finish(record)
-
-    def _on_cancel(self, record: "JobRecord") -> None:
-        # A cancellation is not a completion: the censored flow time
-        # must not pollute the histograms or the completion counters.
-        self._cancelled_total += 1
-        self._cancelled_win += 1
-        if self._user_on_cancel is not None:
-            self._user_on_cancel(record)
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -226,10 +238,6 @@ class StreamSession:
         boundary = (self._windows_closed + 1) * w
         while boundary <= until:
             engine.stream_step(until=boundary)
-            # The engine only samples gauges when an *event* crosses the
-            # cadence point; an idle window needs the boundary sample
-            # forced so its (zero) utilization is still exact.
-            self._recorder.before_advance(boundary)
             self._fold_window(boundary)
             boundary = (self._windows_closed + 1) * w
         if until > engine.now:
@@ -263,10 +271,10 @@ class StreamSession:
             window=self.window,
             windows_closed=self._windows_closed,
             jobs_in_flight=engine.alive_count,
-            arrivals_total=self._arrivals_total,
-            completions_total=self._completions_total,
-            cancelled_total=self._cancelled_total,
-            flow=self._cum_hist.summary(),
+            arrivals_total=recorder.arrivals_total,
+            completions_total=recorder.completions_total,
+            cancelled_total=recorder.cancelled_total,
+            flow=recorder.cum_hist.summary(),
             utilization=utilization,
             last_window=self.last_window,
         )
@@ -290,8 +298,9 @@ class StreamSession:
         """Close the window ending at ``boundary``: roll up its stats,
         then retire everything the recorder holds for it."""
         w = self.window
+        recorder = self._recorder
         busy: dict[int, float] = dict.fromkeys(self._engine._nodes, 0.0)
-        for g in self._recorder._gauges:
+        for g in recorder._gauges:
             # Post-retirement the recorder only holds gauges newer than
             # the previous boundary, so `<= boundary` selects exactly
             # this window's samples.
@@ -301,16 +310,14 @@ class StreamSession:
             index=self._windows_closed,
             start=boundary - w,
             end=boundary,
-            arrivals=self._arrivals_win,
-            completions=self._completions_win,
-            cancelled=self._cancelled_win,
-            flow=self._win_hist.summary(),
+            arrivals=recorder.arrivals_win,
+            completions=recorder.completions_win,
+            cancelled=recorder.cancelled_win,
+            flow=recorder.win_hist.summary(),
             utilization={v: b / w for v, b in busy.items()},
         )
         self._windows.append(stats)
         self._windows_closed += 1
-        self._arrivals_win = 0
-        self._completions_win = 0
-        self._cancelled_win = 0
-        self._win_hist = StreamingHistogram(**self._hist_layout)
-        self._recorder.retire(before=boundary)
+        recorder.arrivals_win = recorder.completions_win = recorder.cancelled_win = 0
+        recorder.win_hist = StreamingHistogram(**self._hist_layout)
+        recorder.retire(before=boundary)

@@ -18,8 +18,7 @@ from repro.sim.counters import (
     global_counters_enabled,
     reset_global_counters,
 )
-from repro.sim.engine import Engine, SchedulerView, simulate
-from repro.sim.events import EventKind, TraceEvent
+from repro.sim.engine import Engine, EngineSink, SchedulerView, simulate
 from repro.sim.gantt import render_gantt
 from repro.sim.result import JobRecord, ScheduleSegment, SimulationResult
 from repro.sim.metrics import (
@@ -40,6 +39,7 @@ __all__ = [
     "global_counters_enabled",
     "reset_global_counters",
     "Engine",
+    "EngineSink",
     "SchedulerView",
     "simulate",
     "SimulationResult",
@@ -51,7 +51,5 @@ __all__ = [
     "max_stretch",
     "interior_delay",
     "waiting_decomposition",
-    "EventKind",
-    "TraceEvent",
     "render_gantt",
 ]

@@ -3,7 +3,7 @@
 The selectable engine backends:
 
 * ``"python"`` — the reference :class:`~repro.sim.engine.Engine`: one
-  global event heap, per-event observer/tracer/counter hooks, bounded
+  global event heap, the per-event ``sink=`` hooks and counters, bounded
   horizons, streaming.  Always available; always correct.
 * ``"c"`` — the compiled kernel (:mod:`repro.sim.backends.c_backend`):
   the same Section-2 semantics, dynamic events included, replayed with
@@ -17,9 +17,9 @@ The selectable engine backends:
   endpoints alike.  A call the kernel cannot plan (generic priorities,
   custom policies, greedy or least-loaded with non-root job origins,
   segment recording) or one asking for an option defined by the
-  global event order (``observer``, ``tracer``, ``until``, engine
-  counters) runs on the python engine — the schedule is the same
-  either way, only the execution strategy differs.
+  global event order (a ``sink``, ``until``, engine counters) runs on
+  the python engine — the schedule is the same either way, only the
+  execution strategy differs.
 
 Selection: one resolver, :func:`select_backend`, shared by
 :func:`simulate`, :func:`repro.api.simulate`,
@@ -33,12 +33,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import TraceRecorder
 
 from repro.exceptions import SimulationError
 from repro.sim import engine as _engine
@@ -47,8 +42,8 @@ from repro.sim.backends.c_backend import CEngine, simulate_c
 from repro.sim.counters import global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
+    EngineSink,
     PriorityFn,
-    SchedulerView,
     sjf_priority,
 )
 from repro.sim.result import SimulationResult
@@ -162,14 +157,13 @@ def available_backends() -> tuple[str, ...]:
 
 
 def _needs_event_order(
-    observer: object,
-    tracer: object,
+    sink: EngineSink | None,
     until: float | None,
     collect_counters: bool | None,
 ) -> bool:
     """Whether the call asks for an option defined by the python
     engine's global event order (see module doc)."""
-    if observer is not None or tracer is not None or until is not None:
+    if sink is not None or until is not None:
         return True
     return bool(
         collect_counters
@@ -186,16 +180,15 @@ def simulate(
     priority: PriorityFn = sjf_priority,
     record_segments: bool = False,
     check_invariants: bool = False,
-    observer: Callable[[SchedulerView, str, int], None] | None = None,
+    sink: EngineSink | None = None,
     until: float | None = None,
     collect_counters: bool | None = None,
-    tracer: "TraceRecorder | None" = None,
     events=None,
 ) -> SimulationResult:
     """Simulate on the selected backend.
 
     Accepts the full engine option surface; when ``backend="c"`` is
-    combined with an option the kernel cannot honour (observer, tracer,
+    combined with an option the kernel cannot honour (a ``sink``,
     ``until``, counters) or with a call it cannot plan, the call runs on
     the python engine instead — the schedule is the same either way.
     Both backends honour a dynamic-event schedule (``events=``)
@@ -207,9 +200,7 @@ def simulate(
     :func:`repro.api.open_system` and the CLI.
     """
     backend = select_backend(backend).effective
-    if backend == "c" and not _needs_event_order(
-        observer, tracer, until, collect_counters
-    ):
+    if backend == "c" and not _needs_event_order(sink, until, collect_counters):
         return simulate_c(
             instance,
             policy,
@@ -226,9 +217,8 @@ def simulate(
         priority=priority,
         record_segments=record_segments,
         check_invariants=check_invariants,
-        observer=observer,
+        sink=sink,
         until=until,
         collect_counters=collect_counters,
-        tracer=tracer,
         events=events,
     )

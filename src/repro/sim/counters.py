@@ -71,8 +71,8 @@ class EngineCounters:
         so per-run counters never see these).
     trace_records:
         Trace records (points + spans + gauge samples) collected when a
-        :class:`~repro.obs.trace.TraceRecorder` was attached; 0 when
-        tracing was off.
+        :class:`~repro.obs.trace.TraceRecorder` was the engine's sink; 0
+        when tracing was off.
     arrival_seconds / completion_seconds:
         Wall-clock spent inside the two event handlers.
     run_seconds:

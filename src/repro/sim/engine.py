@@ -51,10 +51,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter
-from typing import TYPE_CHECKING, Protocol
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> analysis)
-    from repro.obs.trace import TraceRecorder
+from typing import Protocol
 
 from repro.exceptions import (
     AssignmentError,
@@ -82,6 +79,7 @@ __all__ = [
     "fifo_priority",
     "AssignmentPolicy",
     "SchedulerView",
+    "EngineSink",
     "Engine",
     "simulate",
 ]
@@ -191,7 +189,8 @@ _NO_NODES: frozenset[int] = frozenset()
 
 
 class SchedulerView:
-    """Read-only window onto live engine state for assignment policies.
+    """Read-only window onto live engine state for assignment policies
+    and sinks (:attr:`Engine.view`).
 
     The queries mirror the paper's notation at the current simulation
     time ``t``:
@@ -373,6 +372,59 @@ class SchedulerView:
         return node in self._engine._down
 
 
+class EngineSink:
+    """The engine's one hook protocol: a base class of no-op callbacks.
+
+    Subclass it, override what you need and pass an instance as
+    ``sink=``; whatever :meth:`build` returns becomes
+    ``SimulationResult.trace``.  A sink only observes: results are
+    bit-identical with or without one.  To audit live state, keep
+    :attr:`Engine.view` from :meth:`attach` and read it in
+    :meth:`before_advance` and :meth:`finalize`.
+    """
+
+    def attach(self, engine: "Engine") -> None:
+        """Called once, from ``Engine.__init__``."""
+
+    def before_advance(self, t: float) -> None:
+        """Before each event, at its time ``t``, with the state after the
+        previous event; also once at a bounded run's horizon."""
+
+    def on_arrival(self, time: float, job_id: int, leaf: int) -> None:
+        """Job ``job_id`` was released and dispatched to ``leaf``."""
+
+    def on_available(self, time: float, job_id: int, node: int) -> None:
+        """Job ``job_id`` became available on ``node`` of its path."""
+
+    def on_service(self, node: int, job_id: int, start: float, end: float) -> None:
+        """A maximal (node, job) processing interval just closed."""
+
+    def on_hop_complete(self, time: float, job_id: int, node: int) -> None:
+        """Job ``job_id`` finished processing on ``node``."""
+
+    def on_finish(self, time: float, record: JobRecord) -> None:
+        """The job of ``record`` completed on its leaf."""
+
+    def on_reveal(self, time: float, job_id: int, size: float) -> None:
+        """An estimated-size job completed; ``size`` is its true size."""
+
+    def on_cancel(self, time: float, record: JobRecord, node: int) -> None:
+        """The job of ``record`` (``cancelled_at`` set) left ``node``."""
+
+    def on_node_down(self, time: float, node: int) -> None:
+        """``node`` stopped serving."""
+
+    def on_node_up(self, time: float, node: int) -> None:
+        """``node`` resumed serving."""
+
+    def finalize(self, now: float) -> None:
+        """After the last event, with the final state."""
+
+    def build(self, final_time: float) -> object:
+        """What ``SimulationResult.trace`` carries."""
+        return None
+
+
 class Engine:
     """One simulation run over an :class:`~repro.workload.instance.Instance`.
 
@@ -392,12 +444,12 @@ class Engine:
     check_invariants:
         When true, model invariants are asserted after every event
         (simulation slows down by a small constant factor).
-    observer:
-        Optional callback invoked after every processed event as
-        ``observer(view, kind, subject)`` where ``kind`` is ``"arrival"``
-        (``subject`` is the job id) or ``"completion"`` (``subject`` is
-        the node id).  Used by the potential-function and dual-fitting
-        experiments to snapshot live state; must not mutate anything.
+    sink:
+        Optional :class:`EngineSink` observing the run: the structured
+        trace (:class:`~repro.obs.trace.TraceRecorder`), the streaming
+        session's tallies, or a live-state audit such as the Lemma 2/3
+        experiments.  Whatever its :meth:`~EngineSink.build` returns is
+        surfaced on ``SimulationResult.trace``.
     collect_counters:
         When true, tally :class:`~repro.sim.counters.EngineCounters`
         for this run (surfaced on ``SimulationResult.counters``).  When
@@ -411,20 +463,11 @@ class Engine:
         default) is bit-identical to an empty schedule.  At equal times
         the engine processes completions first, then dynamic events,
         then arrivals.
-    on_admit / on_finish / on_cancel:
-        Optional open-system hooks.  ``on_admit(job)`` fires after each
-        job is admitted (released and dispatched); ``on_finish(record)``
-        fires when a job completes on its leaf, with the finished
-        :class:`~repro.sim.result.JobRecord`; ``on_cancel(record)``
-        fires when an alive job is withdrawn by a
-        :class:`~repro.workload.events.Cancel` event, with the record's
-        ``cancelled_at`` already stamped.  Like the tracer these are
-        purely observational and cost one ``is None`` test when unset.
     evict_finished:
         When true, a job's runtime state (and its record) is dropped
-        from the engine the moment it finishes — ``on_finish`` is the
-        only place the record is still reachable.  This is what bounds
-        memory in the open-system streaming mode
+        from the engine the moment it finishes — the sink's
+        ``on_finish`` is the only place the record is still reachable.
+        This is what bounds memory in the open-system streaming mode
         (:mod:`repro.service`); the final
         :class:`~repro.sim.result.SimulationResult` then carries only
         the jobs still in flight.
@@ -432,14 +475,6 @@ class Engine:
         Safety bound on processed events; exceeding it raises
         :class:`~repro.exceptions.SimulationError`.  ``None`` disables
         the bound — required for unbounded streaming runs.
-    tracer:
-        Optional :class:`~repro.obs.trace.TraceRecorder` collecting the
-        structured simulation trace (job-lifecycle spans and sampled
-        per-node gauges; see :mod:`repro.obs`).  Purely observational —
-        schedules and results are bit-identical with tracing on or off —
-        and, like counters, the disabled path costs one ``is None`` test
-        per hook site.  The assembled trace is surfaced on
-        ``SimulationResult.trace``.
     """
 
     def __init__(
@@ -452,12 +487,8 @@ class Engine:
         record_segments: bool = False,
         check_invariants: bool = False,
         max_events: int | None = 10_000_000,
-        observer: Callable[["SchedulerView", str, int], None] | None = None,
+        sink: EngineSink | None = None,
         collect_counters: bool | None = None,
-        tracer: "TraceRecorder | None" = None,
-        on_admit: Callable[[Job], None] | None = None,
-        on_finish: Callable[[JobRecord], None] | None = None,
-        on_cancel: Callable[[JobRecord], None] | None = None,
         evict_finished: bool = False,
         events: EventSchedule | None = None,
     ) -> None:
@@ -540,10 +571,6 @@ class Engine:
         self._down: set[int] = set()
 
         self._view = SchedulerView(self)
-        self._observer = observer
-        self._on_admit = on_admit
-        self._on_finish = on_finish
-        self._on_cancel = on_cancel
         self._evict_finished = evict_finished
         self._finished = False
         # Open-system streaming state (see stream_start / _stream_loop):
@@ -557,9 +584,15 @@ class Engine:
         self._counters: EngineCounters | None = (
             EngineCounters(runs=1) if collect_counters else None
         )
-        self._tracer = tracer
-        if tracer is not None:
-            tracer.attach(self)
+        self._sink = sink
+        if sink is not None:
+            sink.attach(self)
+
+    @property
+    def view(self) -> SchedulerView:
+        """The read-only :class:`SchedulerView` onto this run's live
+        state — what policies are handed and what sinks audit."""
+        return self._view
 
     @property
     def alive_count(self) -> int:
@@ -624,8 +657,8 @@ class Engine:
                 self._segments.append(
                     ScheduleSegment(ns.node_id, ns.active_id, ns.active_started, self.now)
                 )
-            if self._tracer is not None:
-                self._tracer.on_service(
+            if self._sink is not None:
+                self._sink.on_service(
                     ns.node_id, ns.active_id, ns.active_started, self.now
                 )
         else:
@@ -736,26 +769,24 @@ class Engine:
         st.remaining = 0.0
         st.record.completed_at.append(self.now)
         st.idx += 1
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.on_hop_complete(self.now, jid, node_id)
+        sink = self._sink
+        if sink is not None:
+            sink.on_hop_complete(self.now, jid, node_id)
         if st.done:
             self._alive.discard(jid)
             self._alive_at_leaf[st.record.leaf].discard(jid)
-            if tracer is not None:
-                tracer.on_finish(self.now, jid, st.record.leaf)
+            if sink is not None:
+                sink.on_finish(self.now, st.record)
                 if st.job.size_estimate is not None:
-                    tracer.on_reveal(self.now, jid, st.job.size)
-            if self._on_finish is not None:
-                self._on_finish(st.record)
+                    sink.on_reveal(self.now, jid, st.job.size)
             if self._evict_finished:
                 del self._states[jid]
             return
         nxt = self._nodes[st.path[st.idx]]
         st.remaining = self._processing_on(nxt, st)
         st.record.available_at.append(self.now)
-        if tracer is not None:
-            tracer.on_available(self.now, jid, nxt.node_id)
+        if sink is not None:
+            sink.on_available(self.now, jid, nxt.node_id)
         self._enqueue(nxt, st)
 
     def _drain_finished_top(self, ns: _NodeState) -> None:
@@ -865,12 +896,10 @@ class Engine:
         first = self._nodes[path[0]]
         st.remaining = self._processing_on(first, st)
         record.available_at.append(self.now)
-        if self._tracer is not None:
-            self._tracer.on_arrival(self.now, job.id, leaf)
-            self._tracer.on_available(self.now, job.id, path[0])
+        if self._sink is not None:
+            self._sink.on_arrival(self.now, job.id, leaf)
+            self._sink.on_available(self.now, job.id, path[0])
         self._enqueue(first, st)
-        if self._on_admit is not None:
-            self._on_admit(job)
 
     def _handle_completion(self, ns: _NodeState) -> None:
         jid = ns.active_id
@@ -913,9 +942,9 @@ class Engine:
             self._segments.append(
                 ScheduleSegment(ns.node_id, jid, ns.active_started, now)
             )
-        tracer = self._tracer
-        if tracer is not None and elapsed > 0.0:
-            tracer.on_service(ns.node_id, jid, ns.active_started, now)
+        sink = self._sink
+        if sink is not None and elapsed > 0.0:
+            sink.on_service(ns.node_id, jid, ns.active_started, now)
         node_id = ns.node_id
         if ns.is_leaf:
             old = self._leaf_drain[node_id]
@@ -931,25 +960,23 @@ class Engine:
         st.remaining = 0.0
         st.record.completed_at.append(now)
         st.idx += 1
-        if tracer is not None:
-            tracer.on_hop_complete(now, jid, node_id)
+        if sink is not None:
+            sink.on_hop_complete(now, jid, node_id)
         if st.idx >= len(st.path):
             self._alive.discard(jid)
             self._alive_at_leaf[st.record.leaf].discard(jid)
-            if tracer is not None:
-                tracer.on_finish(now, jid, st.record.leaf)
+            if sink is not None:
+                sink.on_finish(now, st.record)
                 if st.job.size_estimate is not None:
-                    tracer.on_reveal(now, jid, st.job.size)
-            if self._on_finish is not None:
-                self._on_finish(st.record)
+                    sink.on_reveal(now, jid, st.job.size)
             if self._evict_finished:
                 del self._states[jid]
         else:
             nxt = self._nodes[st.path[st.idx]]
             st.remaining = st.leaf_time if nxt.is_leaf else st.job.size
             st.record.available_at.append(now)
-            if tracer is not None:
-                tracer.on_available(now, jid, nxt.node_id)
+            if sink is not None:
+                sink.on_available(now, jid, nxt.node_id)
             self._enqueue(nxt, st)
         # Inlined _rearm(ns): restart the (possibly new) heap top.
         ns.version += 1
@@ -999,8 +1026,8 @@ class Engine:
         ns.version += 1
         ns.down = True
         self._down.add(node)
-        if self._tracer is not None:
-            self._tracer.on_node_down(self.now, node)
+        if self._sink is not None:
+            self._sink.on_node_down(self.now, node)
 
     def _handle_node_up(self, node: int) -> None:
         """Node ``node`` resumes serving: drain (arrivals while down
@@ -1011,8 +1038,8 @@ class Engine:
         self._down.discard(node)
         self._drain_finished_top(ns)
         self._rearm(ns)
-        if self._tracer is not None:
-            self._tracer.on_node_up(self.now, node)
+        if self._sink is not None:
+            self._sink.on_node_up(self.now, node)
 
     def _handle_cancel(self, job_id: int) -> None:
         """Withdraw ``job_id`` if it is alive; otherwise a defined no-op
@@ -1082,10 +1109,8 @@ class Engine:
         st.idx = len(path)
         st.remaining = 0.0
         st.record.cancelled_at = self.now
-        if self._tracer is not None:
-            self._tracer.on_cancel(self.now, job_id, cur)
-        if self._on_cancel is not None:
-            self._on_cancel(st.record)
+        if self._sink is not None:
+            self._sink.on_cancel(self.now, st.record, cur)
         if self._evict_finished:
             del self._states[job_id]
 
@@ -1119,7 +1144,7 @@ class Engine:
         the arrival lookahead, written back on every exit path.
         """
         counters = self._counters
-        tracer = self._tracer
+        sink = self._sink
         run_started = perf_counter() if counters is not None else 0.0
         events = self._events
         nodes = self._nodes
@@ -1150,6 +1175,10 @@ class Engine:
                     min(next_completion, next_arrival, next_dyn) > until
                 ):
                     self._advance(until)
+                    if sink is not None:
+                        # Show the sink the horizon before run() or
+                        # stream_result() settle the in-flight work.
+                        sink.before_advance(until)
                     break
                 if (
                     next_completion is inf
@@ -1168,8 +1197,8 @@ class Engine:
                 # dynamic events, then arrivals.
                 if next_completion <= next_arrival and next_completion <= next_dyn:
                     t, version, _, node_id = _heappop(events)
-                    if tracer is not None:
-                        tracer.before_advance(t)
+                    if sink is not None:
+                        sink.before_advance(t)
                     # Inlined _advance(t): exact affine integral accumulation.
                     dt = t - self.now
                     if dt > 0.0:
@@ -1189,38 +1218,26 @@ class Engine:
                         counters.events_processed += 1
                         counters.completions += 1
                         counters.completion_seconds += perf_counter() - phase_started
-                    if self._observer is not None:
-                        self._observer(self._view, "completion", node_id)
                 elif next_dyn <= next_arrival:
                     ev = dyn[dyn_i]
                     dyn_i += 1
-                    if tracer is not None:
-                        tracer.before_advance(next_dyn)
+                    if sink is not None:
+                        sink.before_advance(next_dyn)
                     self._advance(next_dyn)
                     self._handle_dyn(ev)
                     if counters is not None:
                         counters.events_processed += 1
                         counters.dyn_events += 1
-                    if self._observer is not None:
-                        if type(ev) is Cancel:
-                            self._observer(self._view, "cancel", ev.job_id)
-                        elif type(ev) is NodeDown:
-                            self._observer(self._view, "node_down", ev.node)
-                        else:
-                            self._observer(self._view, "node_up", ev.node)
                 else:
-                    if tracer is not None:
-                        tracer.before_advance(next_arrival)
+                    if sink is not None:
+                        sink.before_advance(next_arrival)
                     self._advance(next_arrival)
-                    job = pending
-                    self._handle_arrival(job)
+                    self._handle_arrival(pending)
                     pending = next(it, None)
                     if counters is not None:
                         counters.events_processed += 1
                         counters.arrivals += 1
                         counters.arrival_seconds += perf_counter() - phase_started
-                    if self._observer is not None:
-                        self._observer(self._view, "arrival", job.id)
                 if self.check_invariants:
                     self._assert_invariants()
         finally:
@@ -1262,7 +1279,7 @@ class Engine:
         trace spans cover exactly ``[0, now]``.  Idempotent — repeated
         calls return the same :class:`SimulationResult`.  With
         ``evict_finished=True`` the result carries only still-in-flight
-        jobs; finished records were handed to ``on_finish``.
+        jobs; finished records were handed to the sink's ``on_finish``.
         """
         if self._arrivals_iter is None:
             raise SimulationError("stream_result() before stream_start()")
@@ -1275,12 +1292,12 @@ class Engine:
         if self._result is not None:
             return self._result
         counters = self._counters
-        tracer = self._tracer
+        sink = self._sink
         trace = None
-        if tracer is not None:
-            tracer.finalize(self.now)
-            trace = tracer.build(self.now)
-            if counters is not None:
+        if sink is not None:
+            sink.finalize(self.now)
+            trace = sink.build(self.now)
+            if counters is not None and trace is not None:
                 counters.trace_records += len(trace)
         if counters is not None:
             counters.run_seconds += self._run_seconds
@@ -1336,7 +1353,6 @@ class Engine:
     # invariants (enabled via check_invariants=True)
     # ------------------------------------------------------------------
     def _assert_invariants(self) -> None:
-        tree = self.instance.tree
         seen: dict[int, int] = {}
         for ns in self._nodes.values():
             # Each queued job must actually be at this node.
@@ -1405,7 +1421,6 @@ class Engine:
                 f"recomputed {expected}"
             )
         self._assert_aggregates()
-        _ = tree  # reserved for future structural checks
 
     def _assert_aggregates(self) -> None:
         """The debug oracle for the incremental congestion aggregates: a
@@ -1456,10 +1471,9 @@ def simulate(
     priority: PriorityFn = sjf_priority,
     record_segments: bool = False,
     check_invariants: bool = False,
-    observer: Callable[[SchedulerView, str, int], None] | None = None,
+    sink: EngineSink | None = None,
     until: float | None = None,
     collect_counters: bool | None = None,
-    tracer: "TraceRecorder | None" = None,
     events: EventSchedule | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: build an :class:`Engine` and run it.
@@ -1475,8 +1489,7 @@ def simulate(
         priority=priority,
         record_segments=record_segments,
         check_invariants=check_invariants,
-        observer=observer,
+        sink=sink,
         collect_counters=collect_counters,
-        tracer=tracer,
         events=events,
     ).run(until=until)

@@ -131,9 +131,9 @@ class SimulationResult:
         engine collected them (``collect_counters=True`` or the global
         switch), else ``None``.
     trace:
-        The structured :class:`~repro.obs.trace.SimulationTrace` when a
-        :class:`~repro.obs.trace.TraceRecorder` was attached
-        (``tracer=...``), else ``None``.
+        What the engine's ``sink=`` built: the structured
+        :class:`~repro.obs.trace.SimulationTrace` for a
+        :class:`~repro.obs.trace.TraceRecorder`, else ``None``.
     """
 
     instance: Instance

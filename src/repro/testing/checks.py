@@ -122,7 +122,7 @@ def run_checks(
     failures: list[CheckFailure] = []
 
     events = case.events
-    tracer = TraceRecorder(gauge_interval=None)
+    recorder = TraceRecorder(gauge_interval=None)
     try:
         base = simulate(
             case.instance,
@@ -132,7 +132,7 @@ def run_checks(
             record_segments=True,
             check_invariants=True,
             collect_counters=True,
-            tracer=tracer,
+            sink=recorder,
             events=events,
         )
     except (TreeSchedError, AssertionError) as exc:

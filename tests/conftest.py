@@ -43,8 +43,27 @@ from repro.network.builders import (
     kary_tree,
     star_of_paths,
 )
+from repro.sim.engine import EngineSink
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job, JobSet
+
+
+class StateProbe(EngineSink):
+    """A sink calling ``check(view)`` on every post-event state of a
+    run: before each event (the state after the previous one) and once
+    more at the end."""
+
+    def __init__(self, check) -> None:
+        self.check = check
+
+    def attach(self, engine) -> None:
+        self.view = engine.view
+
+    def before_advance(self, t: float) -> None:
+        self.check(self.view)
+
+    def finalize(self, now: float) -> None:
+        self.check(self.view)
 
 
 @pytest.fixture

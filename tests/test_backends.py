@@ -111,10 +111,15 @@ class TestFallback:
     """Options defined in terms of the global event order, and calls the
     kernel cannot plan, run on the python engine under ``backend="c"``."""
 
-    def test_observer_falls_back(self):
+    def test_sink_falls_back(self):
         seen = []
-        result = _run("c", observer=lambda view, kind, subject: seen.append(kind))
-        assert seen  # the compiled kernel has no observer hook at all
+
+        class Arrivals(engine.EngineSink):
+            def on_arrival(self, time, job_id, leaf):
+                seen.append(job_id)
+
+        result = _run("c", sink=Arrivals())
+        assert seen  # the compiled kernel has no sink hooks at all
         assert len(result.records) == 160
 
     def test_until_falls_back(self):

@@ -8,17 +8,18 @@ from repro.core.assignment import FixedAssignment, GreedyIdenticalAssignment
 from repro.core.potential import higher_priority_volume, phi_potential
 from repro.exceptions import AnalysisError
 from repro.network.builders import spine_tree, star_of_paths
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineSink
 from repro.sim.speed import SpeedProfile
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job, JobSet
+from tests.conftest import StateProbe
 
 
 def snapshot_phis(instance, policy, speeds, eps, after=0.0):
     """Collect (t, job, phi, clear_time) at every event >= after."""
     snaps = []
 
-    def obs(view, kind, subject):
+    def obs(view):
         if view.now < after:
             return
         tops = set(view.tree.root_children)
@@ -28,7 +29,7 @@ def snapshot_phis(instance, policy, speeds, eps, after=0.0):
                 continue
             snaps.append((view.now, jid, phi_potential(view, jid, eps)))
 
-    result = Engine(instance, policy, speeds, observer=obs).run()
+    result = Engine(instance, policy, speeds, sink=StateProbe(obs)).run()
     return snaps, result
 
 
@@ -85,11 +86,15 @@ class TestPhi:
         )
         final = {}
 
-        def obs(view, kind, subject):
-            if not view.alive_jobs():
-                final["phi"] = phi_potential(view, 0, 0.5)
+        class Final(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
 
-        Engine(instance, FixedAssignment({0: 2}), observer=obs).run()
+            def finalize(self, now):
+                if not self.view.alive_jobs():
+                    final["phi"] = phi_potential(self.view, 0, 0.5)
+
+        Engine(instance, FixedAssignment({0: 2}), sink=Final()).run()
         assert final["phi"] == 0.0
 
     def test_eps_validation(self):
@@ -98,12 +103,15 @@ class TestPhi:
             tree, JobSet([Job(id=0, release=0.0, size=1.0)]), Setting.IDENTICAL
         )
 
-        def obs(view, kind, subject):
-            if kind == "arrival":
-                with pytest.raises(AnalysisError):
-                    phi_potential(view, 0, 0.0)
+        class Probe(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
 
-        Engine(instance, FixedAssignment({0: 2}), observer=obs).run()
+            def on_arrival(self, time, job_id, leaf):
+                with pytest.raises(AnalysisError):
+                    phi_potential(self.view, 0, 0.0)
+
+        Engine(instance, FixedAssignment({0: 2}), sink=Probe()).run()
 
 
 class TestHigherPriorityVolume:
@@ -115,12 +123,15 @@ class TestHigherPriorityVolume:
         )
         top = tree.root_children[0]
 
-        def obs(view, kind, subject):
-            if kind == "arrival":
-                with pytest.raises(AnalysisError, match="adjacent"):
-                    higher_priority_volume(view, 0, top)
+        class Probe(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
 
-        Engine(instance, FixedAssignment({0: leaf}), observer=obs).run()
+            def on_arrival(self, time, job_id, leaf):
+                with pytest.raises(AnalysisError, match="adjacent"):
+                    higher_priority_volume(self.view, 0, top)
+
+        Engine(instance, FixedAssignment({0: leaf}), sink=Probe()).run()
 
     def test_counts_only_available_higher_priority(self):
         # Two jobs head to the same leaf; when the big one sits at the
@@ -134,11 +145,13 @@ class TestHigherPriorityVolume:
         instance = Instance(tree, jobs, Setting.IDENTICAL)
         values = []
 
-        def obs(view, kind, subject):
+        def obs(view):
             if 0 in view.alive_jobs() and view.current_node_of(0) == 2:
                 values.append(higher_priority_volume(view, 0, 2))
 
-        Engine(instance, FixedAssignment({0: leaf, 1: leaf}), observer=obs).run()
+        Engine(
+            instance, FixedAssignment({0: leaf, 1: leaf}), sink=StateProbe(obs)
+        ).run()
         # Job 0's own remaining is counted; job 1 only once it reaches node 2,
         # but by then job 1 (size 1) would be processed first anyway.  The
         # observed values must never exceed own remaining + job1's size.
@@ -152,9 +165,13 @@ class TestHigherPriorityVolume:
             tree, JobSet([Job(id=0, release=0.0, size=1.0)]), Setting.IDENTICAL
         )
 
-        def obs(view, kind, subject):
-            if kind == "completion" and view.current_node_of(0) == leaf:
-                with pytest.raises(AnalysisError, match="does not still need"):
-                    higher_priority_volume(view, 0, 2)
+        class Probe(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
 
-        Engine(instance, FixedAssignment({0: leaf}), observer=obs).run()
+            def on_hop_complete(self, time, job_id, node):
+                if self.view.current_node_of(0) == leaf:
+                    with pytest.raises(AnalysisError, match="does not still need"):
+                        higher_priority_volume(self.view, 0, 2)
+
+        Engine(instance, FixedAssignment({0: leaf}), sink=Probe()).run()

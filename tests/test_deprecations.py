@@ -90,17 +90,11 @@ class TestPositionalRunnerParamsRemoved:
 
 class TestEventLogRemoved:
     """The observer-side ``EventLog`` recorder is gone; structured
-    traces come from :mod:`repro.obs` (``tracer=`` / ``api.trace_run``)."""
+    traces come from :mod:`repro.obs` (``sink=`` / ``api.trace_run``)."""
 
     def test_import_raises(self):
         with pytest.raises(ImportError):
             from repro.sim.events import EventLog  # noqa: F401
-
-    def test_absent_from_module_and_all(self):
-        from repro.sim import events
-
-        assert not hasattr(events, "EventLog")
-        assert "EventLog" not in events.__all__
 
     def test_absent_from_sim_package(self):
         import repro.sim as sim
@@ -108,12 +102,23 @@ class TestEventLogRemoved:
         assert not hasattr(sim, "EventLog")
         assert "EventLog" not in sim.__all__
 
-    def test_timeline_vocabulary_survives(self):
-        # The typed-event vocabulary stays: repro.obs builds on it.
-        from repro.sim.events import EventKind, TraceEvent
+    def test_absent_from_module_and_all(self):
+        # The whole repro.sim.events module went, its unused
+        # EventKind/TraceEvent vocabulary with it.
+        import repro.sim as sim
 
-        ev = TraceEvent(0.0, EventKind.ARRIVAL, job_id=0, node=1)
-        assert ev.kind is EventKind.ARRIVAL
+        with pytest.raises(ImportError):
+            import repro.sim.events  # noqa: F401
+        assert not {"EventLog", "EventKind", "TraceEvent"} & set(sim.__all__)
+        assert not hasattr(sim, "EventKind") and not hasattr(sim, "TraceEvent")
+
+    def test_timeline_vocabulary_survives(self):
+        # The typed-event record lives on in repro.obs, the one
+        # TraceEvent a trace carries.
+        from repro.obs.trace import TraceEvent
+
+        ev = TraceEvent("cancel", 0.0, node=1, job_id=0)
+        assert (ev.kind, ev.node, ev.job_id) == ("cancel", 1, 0)
 
     def test_replacement_covers_the_use_case(self):
         result = api.trace_run(instance=_instance())
@@ -149,6 +154,32 @@ class TestCollectCountersRenameRemoved:
             exp_ids=["F1"], cache_dir=tmp_path, collect_counters=True
         )
         assert out and out[0].counters is not None
+
+
+class TestHookKeywordsRemoved:
+    """The engine's five hook channels collapsed into one ``sink=``
+    (:class:`~repro.sim.engine.EngineSink`) with no alias: each old
+    keyword is a ``TypeError`` wherever it was accepted."""
+
+    @pytest.mark.parametrize(
+        "name", ["observer", "tracer", "on_admit", "on_finish", "on_cancel"]
+    )
+    def test_engine_rejects(self, name):
+        from repro.sim.engine import Engine
+
+        with pytest.raises(TypeError):
+            Engine(_instance(), _policy(), **{name: None})
+
+    @pytest.mark.parametrize("name", ["observer", "tracer"])
+    def test_sim_simulate_rejects(self, name):
+        with pytest.raises(TypeError):
+            simulate(_instance(), _policy(), **{name: None})
+
+    def test_api_simulate_rejects_tracer(self):
+        from repro.obs import TraceRecorder
+
+        with pytest.raises(TypeError):
+            api.simulate(instance=_instance(), tracer=TraceRecorder())
 
 
 class TestNumpyBackendRemoved:

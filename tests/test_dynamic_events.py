@@ -36,7 +36,7 @@ from repro.obs.trace import TraceConfig, TraceRecorder
 from repro.sim import engine
 from repro.sim.backends import c_build
 from repro.sim.backends.c_backend import CEngine
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineSink
 from repro.workload.events import Cancel, EventSchedule, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import JobSet
@@ -235,7 +235,7 @@ class TestSizeRevelation:
     def test_true_size_is_revealed_at_completion(self):
         inst = self._instance()
         rec = TraceRecorder(TraceConfig())
-        result = api.simulate(instance=inst, tracer=rec)
+        result = api.simulate(instance=inst, sink=rec)
         assert result.records[0].size_estimate == 1.0
         reveals = result.trace.events_of("reveal")
         assert [(e.job_id, e.size) for e in reveals] == [(0, 4.0)]
@@ -436,31 +436,34 @@ class TestAggregatesAfterRepair:
         inst, events = _parity_pair()
         checked = {"n": 0}
 
-        def observer(view, kind, subject):
-            if kind != "node_up":
-                return
-            checked["n"] += 1
-            for v in inst.tree.node_ids:
-                if v == inst.tree.root:
-                    continue
-                through = view.jobs_through(v)
-                assert view.jobs_through_count(v) == len(through)
-                vol = sum(view.remaining_on(j, v) for j in through)
-                assert math.isclose(
-                    view.volume_through(v), vol,
-                    rel_tol=1e-9, abs_tol=1e-9,
-                )
-                qvol = sum(
-                    view.remaining_on(j, v) for j in view.queue_at(v)
-                )
-                assert math.isclose(
-                    view.queue_volume_at(v), qvol,
-                    rel_tol=1e-9, abs_tol=1e-9,
-                )
+        class RepairAudit(EngineSink):
+            def attach(self, eng):
+                self.view = eng.view
+
+            def on_node_up(self, time, node):
+                view = self.view
+                checked["n"] += 1
+                for v in inst.tree.node_ids:
+                    if v == inst.tree.root:
+                        continue
+                    through = view.jobs_through(v)
+                    assert view.jobs_through_count(v) == len(through)
+                    vol = sum(view.remaining_on(j, v) for j in through)
+                    assert math.isclose(
+                        view.volume_through(v), vol,
+                        rel_tol=1e-9, abs_tol=1e-9,
+                    )
+                    qvol = sum(
+                        view.remaining_on(j, v) for j in view.queue_at(v)
+                    )
+                    assert math.isclose(
+                        view.queue_volume_at(v), qvol,
+                        rel_tol=1e-9, abs_tol=1e-9,
+                    )
 
         engine = Engine(
             inst, GreedyIdenticalAssignment(0.25),
-            events=events, observer=observer,
+            events=events, sink=RepairAudit(),
         )
         engine.run()
         assert checked["n"] == 2  # both repairs were audited

@@ -93,3 +93,32 @@ def test_duplicate_registration_rejected():
         @register("F2")
         def clash():  # pragma: no cover
             raise AssertionError
+
+
+@pytest.mark.parametrize(
+    "exp_id, payload",
+    [
+        ("L2", {"max_norm": 1.0, "checks": 930}),
+        (
+            "L3",
+            {
+                "snapshots": 379,
+                "min_slack": -7.105427357601002e-15,
+                "monotone_violations": 0,
+            },
+        ),
+    ],
+)
+def test_lemma_audit_counts_pinned(exp_id, payload):
+    """L2 and L3 audit every post-event state through an engine sink; a
+    sink that skipped or repeated one event would shift these counts."""
+    from repro.analysis.experiments.grid import (
+        enumerate_trials,
+        execute_trial,
+        get_grid,
+        merge_params,
+    )
+
+    grid = get_grid(exp_id)
+    (spec,) = enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
+    assert execute_trial(grid, spec) == payload

@@ -38,8 +38,8 @@ def _broken_handle_node_down(self, node: int) -> None:
     self._drain_finished_top(ns)
     ns.down = True
     self._down.add(node)
-    if self._tracer is not None:
-        self._tracer.on_node_down(self.now, node)
+    if self._sink is not None:
+        self._sink.on_node_down(self.now, node)
 
 
 @pytest.fixture

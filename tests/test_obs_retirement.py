@@ -21,7 +21,7 @@ def _streamed(recorder, *, until, retire_at, n_jobs=60, seed=17,
     then finish and build the result."""
     inst = api.make_instance(n_jobs=n_jobs, seed=seed)
     eng = Engine(
-        inst, GreedyIdenticalAssignment(0.25), tracer=recorder,
+        inst, GreedyIdenticalAssignment(0.25), sink=recorder,
         record_segments=record_segments,
     )
     eng.stream_start(inst.jobs)
@@ -54,13 +54,13 @@ class TestRetire:
     def test_unretired_trace_has_no_meta_entry(self):
         rec = TraceRecorder(TraceConfig(gauge_interval=1.0))
         inst = api.make_instance(n_jobs=20, seed=17)
-        result = api.simulate(instance=inst, policy="greedy", tracer=rec)
+        result = api.simulate(instance=inst, policy="greedy", sink=rec)
         assert "retired" not in result.trace.meta
 
     def test_retire_after_build_raises(self):
         rec = TraceRecorder(TraceConfig())
         inst = api.make_instance(n_jobs=10, seed=17)
-        api.simulate(instance=inst, policy="greedy", tracer=rec)
+        api.simulate(instance=inst, policy="greedy", sink=rec)
         with pytest.raises(SimulationError):
             rec.retire(before=1.0)
 
@@ -135,7 +135,7 @@ class TestSchemaAndCrosscheck:
         rec = TraceRecorder(TraceConfig(gauge_interval=1.0))
         inst = api.make_instance(n_jobs=40, seed=31)
         result = api.simulate(
-            instance=inst, policy="greedy", tracer=rec, record_segments=True
+            instance=inst, policy="greedy", sink=rec, record_segments=True
         )
         assert crosscheck_trace(result) == []
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro import api
+from repro.core.assignment import FixedAssignment
 from repro.exceptions import SimulationError
+from repro.network.builders import star_of_paths
 from repro.obs.trace import (
     POINT_KINDS,
     SPAN_KINDS,
@@ -21,6 +23,8 @@ from repro.obs.trace import (
     TraceRecorder,
 )
 from repro.sim.engine import simulate
+from repro.workload.instance import Instance, Setting
+from repro.workload.job import Job, JobSet
 
 
 def make_instance(n=20, seed=5):
@@ -33,7 +37,7 @@ def traced(instance, **config):
         instance,
         _policy(instance),
         record_segments=True,
-        tracer=recorder,
+        sink=recorder,
     )
     return result
 
@@ -74,15 +78,15 @@ class TestObserverPurity:
     def test_recorder_single_use(self):
         inst = make_instance(n=5)
         rec = TraceRecorder()
-        simulate(inst, _policy(inst), tracer=rec)
+        simulate(inst, _policy(inst), sink=rec)
         with pytest.raises(SimulationError, match="one Engine run"):
-            simulate(inst, _policy(inst), tracer=rec)
+            simulate(inst, _policy(inst), sink=rec)
 
     def test_unknown_gauge_nodes_rejected(self):
         inst = make_instance(n=5)
         rec = TraceRecorder(TraceConfig(gauge_interval=1.0, gauge_nodes=(9999,)))
         with pytest.raises(SimulationError, match="unknown node ids"):
-            simulate(inst, _policy(inst), tracer=rec)
+            simulate(inst, _policy(inst), sink=rec)
 
 
 class TestPoints:
@@ -172,6 +176,21 @@ class TestSpans:
 
 
 class TestGauges:
+    def test_windows_between_last_event_and_horizon_are_exact(self):
+        # One job busy on node 1 through the whole horizon: every window
+        # holds one second of service, none of it piled onto the first.
+        inst = Instance(
+            star_of_paths(1, 1),
+            JobSet([Job(id=0, release=0.0, size=10.0)]),
+            Setting.IDENTICAL,
+        )
+        rec = TraceRecorder(gauge_interval=1.0)
+        result = simulate(inst, FixedAssignment({0: 2}), sink=rec, until=5.0)
+        gauges = result.trace.gauges_for(1)
+        assert [g.time for g in gauges] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [g.busy_s for g in gauges] == [1.0] * 5
+        assert [g.utilization for g in gauges] == [1.0] * 5
+
     def test_busy_time_integrates_to_service_total(self):
         inst = make_instance()
         result = traced(inst, gauge_interval=1.5)
@@ -200,7 +219,7 @@ class TestGauges:
         rec = TraceRecorder(
             TraceConfig(gauge_interval=1.0, gauge_nodes=tuple(some))
         )
-        result = simulate(inst, _policy(inst), tracer=rec)
+        result = simulate(inst, _policy(inst), sink=rec)
         assert sorted({g.node for g in result.trace.gauges}) == some
 
     def test_utilization_bounded(self):
@@ -235,14 +254,14 @@ class TestAssembly:
     def test_build_idempotent(self):
         inst = make_instance(n=5)
         rec = TraceRecorder()
-        result = simulate(inst, _policy(inst), tracer=rec)
+        result = simulate(inst, _policy(inst), sink=rec)
         assert rec.build(0.0) is result.trace  # same object, args ignored
 
     def test_counters_count_trace_records(self):
         inst = make_instance()
         rec = TraceRecorder(TraceConfig(gauge_interval=1.0))
         result = simulate(
-            inst, _policy(inst), collect_counters=True, tracer=rec
+            inst, _policy(inst), collect_counters=True, sink=rec
         )
         assert result.counters.trace_records == len(result.trace)
         plain = simulate(inst, _policy(inst), collect_counters=True)

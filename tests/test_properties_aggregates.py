@@ -16,6 +16,7 @@ from repro.baselines.policies import RandomAssignment
 from repro.core.assignment import GreedyIdenticalAssignment, GreedyUnrelatedAssignment
 from repro.network.builders import kary_tree, random_tree, star_of_paths
 from repro.sim.engine import simulate
+from tests.conftest import StateProbe
 
 # Volumes are sums of O(alive) float terms accumulated in different
 # orders by the aggregates and the scan; tolerance is relative to scale.
@@ -56,7 +57,7 @@ def check_instance(instance, policy):
     nodes = [n.id for n in instance.tree if not n.is_root]
     checked = {"events": 0}
 
-    def obs(view, kind, subject):
+    def obs(view):
         checked["events"] += 1
         for v in nodes:
             count, volume, queued = brute_aggregates(view, v)
@@ -78,7 +79,7 @@ def check_instance(instance, policy):
                 f"aggregate={got_queued} scan={queued}"
             )
 
-    simulate(instance, policy, observer=obs)
+    simulate(instance, policy, sink=StateProbe(obs))
     assert checked["events"] > 0
 
 
@@ -116,13 +117,13 @@ class TestAggregatesMatchScan:
         instance = identical_instance(tree, 1, load=0.5, seed=9)
         final = {}
 
-        def obs(view, kind, subject):
+        def obs(view):
             final["state"] = [
                 (view.jobs_through_count(v), view.volume_through(v), view.queue_volume_at(v))
                 for v in (n.id for n in tree if not n.is_root)
             ]
 
-        simulate(instance, GreedyIdenticalAssignment(0.25), observer=obs)
+        simulate(instance, GreedyIdenticalAssignment(0.25), sink=StateProbe(obs))
         for count, volume, queued in final["state"]:
             assert count == 0
             assert volume == 0.0

@@ -33,7 +33,7 @@ def traced_run(tree, jobs, gauge_interval=None):
         GreedyIdenticalAssignment(0.5),
         record_segments=True,
         collect_counters=True,
-        tracer=recorder,
+        sink=recorder,
     )
     return instance, result
 

@@ -16,6 +16,7 @@ from repro.baselines.policies import RandomAssignment
 from repro.core.assignment import GreedyIdenticalAssignment
 from repro.network.builders import kary_tree, random_tree, star_of_paths
 from repro.sim.engine import simulate
+from tests.conftest import StateProbe
 
 
 def brute_jobs_through(view, node) -> set[int]:
@@ -40,7 +41,7 @@ def check_instance(instance, policy, sample_every=1):
     # The tree must exercise all three code paths at least structurally.
     calls = {"checked": 0}
 
-    def obs(view, kind, subject):
+    def obs(view):
         calls["checked"] += 1
         if calls["checked"] % sample_every:
             return
@@ -52,7 +53,7 @@ def check_instance(instance, policy, sample_every=1):
                 f"shortcut={sorted(got)} scan={sorted(want)}"
             )
 
-    simulate(instance, policy, observer=obs)
+    simulate(instance, policy, sink=StateProbe(obs))
     assert calls["checked"] > 0
 
 

@@ -10,10 +10,14 @@ import pytest
 
 import repro
 from repro import api
+from repro.core.assignment import FixedAssignment
 from repro.exceptions import SimulationError
+from repro.network.builders import star_of_paths
 from repro.service import StreamSession
 from repro.sim.backends import available_backends
 from repro.workload.arrivals import job_stream, poisson_process, uniform_size_stream
+from repro.workload.instance import Instance, Setting
+from repro.workload.job import Job, JobSet
 
 
 def _instance(n_jobs=200, seed=11, **kw):
@@ -113,6 +117,20 @@ class TestWindowing:
         for w in tail:
             assert w.arrivals == 0 and w.completions == 0
             assert all(u == 0.0 for u in w.utilization.values())
+
+    def test_busy_windows_without_events_are_exact(self):
+        # One long job keeps node 1 busy through windows in which no
+        # event happens; each window still closes on its own sample.
+        inst = Instance(
+            star_of_paths(1, 1),
+            JobSet([Job(id=0, release=0.0, size=10.0)]),
+            Setting.IDENTICAL,
+        )
+        sess = api.open_system(
+            instance=inst, policy=FixedAssignment({0: 2}), window=1.0
+        )
+        sess.step(until=5.0)
+        assert [w.utilization[1] for w in sess.windows] == [1.0] * 5
 
     def test_utilization_bounded_and_busy_where_expected(self):
         inst = _instance(n_jobs=200, seed=4)

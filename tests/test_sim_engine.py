@@ -13,7 +13,7 @@ import pytest
 from repro.core.assignment import FixedAssignment
 from repro.exceptions import AssignmentError, SimulationError
 from repro.network.builders import spine_tree, star_of_paths
-from repro.sim.engine import Engine, fifo_priority, simulate
+from repro.sim.engine import Engine, EngineSink, fifo_priority, simulate
 from repro.sim.invariants import validate_schedule
 from repro.sim.speed import SpeedProfile
 from repro.workload.instance import Instance, Setting
@@ -250,12 +250,16 @@ class TestObserver:
     def test_events_observed_in_order(self):
         events = []
 
-        def obs(view, kind, subject):
-            events.append((view.now, kind, subject))
+        class Log(EngineSink):
+            def on_arrival(self, time, job_id, leaf):
+                events.append((time, "arrival", job_id))
+
+            def on_hop_complete(self, time, job_id, node):
+                events.append((time, "completion", node))
 
         jobs = [Job(id=0, release=0.0, size=1.0), Job(id=1, release=0.5, size=1.0)]
         instance = chain_instance(jobs)
-        Engine(instance, FixedAssignment({0: 2, 1: 2}), observer=obs).run()
+        Engine(instance, FixedAssignment({0: 2, 1: 2}), sink=Log()).run()
         times = [t for t, _, _ in events]
         assert times == sorted(times)
         kinds = [k for _, k, _ in events]
@@ -265,15 +269,19 @@ class TestObserver:
     def test_view_queries_during_run(self):
         seen = {}
 
-        def obs(view, kind, subject):
-            if kind == "arrival" and subject == 1:
-                # At job 1's arrival, job 0 should be alive somewhere.
-                seen["alive"] = view.alive_jobs()
-                seen["rem"] = view.remaining_on(0, 1)
+        class Probe(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
+
+            def on_arrival(self, time, job_id, leaf):
+                if job_id == 1:
+                    # At job 1's arrival, job 0 should be alive somewhere.
+                    seen["alive"] = self.view.alive_jobs()
+                    seen["rem"] = self.view.remaining_on(0, 1)
 
         jobs = [Job(id=0, release=0.0, size=2.0), Job(id=1, release=1.0, size=2.0)]
         instance = chain_instance(jobs)
-        Engine(instance, FixedAssignment({0: 2, 1: 2}), observer=obs).run()
+        Engine(instance, FixedAssignment({0: 2, 1: 2}), sink=Probe()).run()
         assert 0 in seen["alive"]
         assert seen["rem"] == pytest.approx(1.0)  # half of job 0's router work left
 
@@ -282,27 +290,35 @@ class TestSchedulerView:
     def test_remaining_on_future_and_past_nodes(self):
         snapshots = {}
 
-        def obs(view, kind, subject):
-            if kind == "completion" and subject == 1 and 0 in view.alive_jobs():
-                snapshots["past"] = view.remaining_on(0, 1)
-                snapshots["current"] = view.remaining_on(0, 2)
+        class Probe(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
+
+            def on_available(self, time, job_id, node):
+                # Job 0 just cleared node 1 and reached node 2.
+                if node == 2 and 0 in self.view.alive_jobs():
+                    snapshots["past"] = self.view.remaining_on(0, 1)
+                    snapshots["current"] = self.view.remaining_on(0, 2)
 
         jobs = [Job(id=0, release=0.0, size=2.0)]
         instance = chain_instance(jobs)
-        Engine(instance, FixedAssignment({0: 2}), observer=obs).run()
+        Engine(instance, FixedAssignment({0: 2}), sink=Probe()).run()
         assert snapshots["past"] == 0.0
         assert snapshots["current"] == 2.0
 
     def test_jobs_through_leaf_tracks_assignment(self):
         rows = []
 
-        def obs(view, kind, subject):
-            if kind == "arrival":
-                rows.append(view.jobs_through(2))
+        class Probe(EngineSink):
+            def attach(self, engine):
+                self.view = engine.view
+
+            def on_arrival(self, time, job_id, leaf):
+                rows.append(self.view.jobs_through(2))
 
         jobs = [Job(id=0, release=0.0, size=5.0), Job(id=1, release=1.0, size=5.0)]
         instance = chain_instance(jobs)
-        Engine(instance, FixedAssignment({0: 2, 1: 2}), observer=obs).run()
+        Engine(instance, FixedAssignment({0: 2, 1: 2}), sink=Probe()).run()
         assert rows[0] == (0,)
         assert rows[1] == (0, 1)
 
