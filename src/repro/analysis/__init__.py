@@ -1,4 +1,4 @@
-"""Analysis layer: competitive-ratio estimation, parameter sweeps,
+"""Analysis layer: competitive-ratio estimation, replication statistics,
 plain-text tables, and the experiment registry.
 
 The experiment registry (:mod:`repro.analysis.experiments`) implements
@@ -13,16 +13,13 @@ from repro.analysis.planning import CapacityPlan, min_speed_for_flow
 from repro.analysis.profiles import bottleneck_report, busy_periods, node_utilisation
 from repro.analysis.queueing import mg1_fifo_mean_flow, simulate_single_node_flow
 from repro.analysis.ratios import RatioReport, competitive_report, lower_bound_for
-from repro.analysis.stats import Replication, compare, replicate
-from repro.analysis.sweeps import run_policy_grid, speed_sweep
+from repro.analysis.stats import Replication
 
 __all__ = [
     "Table",
     "RatioReport",
     "competitive_report",
     "lower_bound_for",
-    "speed_sweep",
-    "run_policy_grid",
     "flow_lk_norm",
     "flow_norm_summary",
     "node_utilisation",
@@ -31,8 +28,6 @@ __all__ = [
     "mg1_fifo_mean_flow",
     "simulate_single_node_flow",
     "Replication",
-    "replicate",
-    "compare",
     "CapacityPlan",
     "min_speed_for_flow",
 ]

@@ -11,12 +11,11 @@ Three suites, all deterministic in everything except wall-clock:
 * **Policy microbenchmarks** — every CLI policy on one mid-size
   instance, per backend, so a change to a single policy's arrival cost
   is visible in isolation from the engine.
-* **Registry timing** — the full experiment registry run serially
-  versus through the trial-sharded parallel runner (cache disabled for
-  both), so the sharding speedup is tracked alongside raw engine
-  throughput.  Speedup is bounded by the worker count; on a single-core
-  machine the comparison is skipped (marked ``"skipped": "workers==1"``)
-  — a serial-vs-serial "speedup" would only measure scheduler noise.
+* **Registry timing** — the full experiment registry through the runner
+  on one worker versus on the machine's cores (cache disabled for
+  both), so the trial-sharding speedup is tracked alongside raw engine
+  throughput.  Speedup is bounded by the worker count (about 1 on a
+  single core).
 
 ``run_bench`` returns a JSON-ready dict (schema ``bench_engine/v3``:
 the ``scaling`` and ``policies`` suites nest one section per backend);
@@ -125,7 +124,7 @@ def _measure(
 
 
 def run_registry_bench(parallel: int | None = None) -> dict:
-    """Time the full experiment registry serial vs trial-sharded.
+    """Time the full experiment registry on one worker vs ``parallel``.
 
     Both runs bypass the cache so they measure computation, not disk.
     ``parallel`` defaults to the machine's core count.  Returns the
@@ -137,35 +136,14 @@ def run_registry_bench(parallel: int | None = None) -> dict:
 
     workers = parallel if parallel is not None else max(1, os.cpu_count() or 1)
     t0 = perf_counter()
-    serial = run_experiments(use_cache=False, parallel=1, shard_trials=False)
+    serial = run_experiments(use_cache=False, parallel=1)
     serial_s = perf_counter() - t0
-    if workers <= 1:
-        # A sharded run on one worker is the serial run with extra
-        # queueing; its "speedup" would only report scheduler noise.
-        # Serial outcomes carry no trial counts, so enumerate the grids
-        # directly for the (informational) trials column.
-        from repro.analysis.experiments.grid import enumerate_trials, get_grid
-
-        trials = 0
-        for out in serial:
-            grid = get_grid(out.exp_id)
-            if grid is not None:
-                trials += len(enumerate_trials(grid, dict(grid.defaults)))
-        return {
-            "experiments": len(serial),
-            "trials": trials,
-            "workers": workers,
-            "serial_wall_s": serial_s,
-            "sharded_wall_s": None,
-            "speedup": None,
-            "skipped": "workers==1",
-        }
     t0 = perf_counter()
-    sharded = run_experiments(use_cache=False, parallel=workers, shard_trials=True)
+    run_experiments(use_cache=False, parallel=workers)
     sharded_s = perf_counter() - t0
     return {
         "experiments": len(serial),
-        "trials": sum(out.trials_total for out in sharded),
+        "trials": sum(out.trials_total for out in serial),
         "workers": workers,
         "serial_wall_s": serial_s,
         "sharded_wall_s": sharded_s,
@@ -334,12 +312,9 @@ def render_bench(doc: dict) -> str:
             "experiment registry: serial vs trial-sharded runner (cache off)",
             ["experiments", "trials", "workers", "serial_s", "sharded_s", "speedup"],
         )
-        skipped = reg.get("skipped")
         registry.add_row(
             reg["experiments"], reg["trials"], reg["workers"],
-            reg["serial_wall_s"],
-            reg["sharded_wall_s"] if reg["sharded_wall_s"] is not None else "-",
-            reg["speedup"] if reg["speedup"] is not None else f"skipped ({skipped})",
+            reg["serial_wall_s"], reg["sharded_wall_s"], reg["speedup"],
         )
         out.append(registry.render())
     return "\n\n".join(out)

@@ -1,9 +1,9 @@
 """Experiment registry.
 
-One module per experiment id of ``DESIGN.md`` §4; each exposes a
-``run(**params) -> ExperimentResult`` registered under its id.  The
-benchmarks in ``benchmarks/`` and the tables in ``EXPERIMENTS.md`` are
-generated from these.
+One module per experiment id of ``DESIGN.md`` §4; each registers its
+trial grid (:func:`~repro.analysis.experiments.grid.register_grid`)
+under its id.  The benchmarks in ``benchmarks/`` and the tables in
+``EXPERIMENTS.md`` are generated from these.
 
 >>> from repro.analysis.experiments import run_experiment
 >>> res = run_experiment("F2")
@@ -11,8 +11,8 @@ generated from these.
 'F2'
 """
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
+from repro.analysis.experiments.base import ExperimentResult
+from repro.analysis.experiments.grid import (
     all_experiment_ids,
     get_experiment,
     run_experiment,

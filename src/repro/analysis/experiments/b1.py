@@ -20,8 +20,6 @@ from repro.analysis.experiments.base import ExperimentResult
 from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=80,
     seed=10,
@@ -33,26 +31,6 @@ _DEFAULTS = dict(
 
 _POLICY_NAMES = ("greedy", "closest", "random", "least-loaded", "round-robin")
 _ORDER_NAMES = ("sjf", "fifo")
-
-
-def _policy_for(name: str, eps: float, seed: int):
-    from repro.baselines.policies import (
-        ClosestLeafAssignment,
-        LeastLoadedAssignment,
-        RandomAssignment,
-        RoundRobinAssignment,
-    )
-    from repro.core.assignment import GreedyIdenticalAssignment
-
-    if name == "greedy":
-        return GreedyIdenticalAssignment(eps)
-    if name == "closest":
-        return ClosestLeafAssignment()
-    if name == "random":
-        return RandomAssignment(seed)
-    if name == "least-loaded":
-        return LeastLoadedAssignment()
-    return RoundRobinAssignment()
 
 
 def _trials(p: dict) -> list[TrialSpec]:
@@ -78,6 +56,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 
 def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.experiments.workloads import identical_instance
+    from repro.api import _resolve_policy
     from repro.network.builders import datacenter_tree
     from repro.sim.engine import fifo_priority, simulate, sjf_priority
     from repro.sim.speed import SpeedProfile
@@ -90,7 +69,7 @@ def _run_trial(spec: TrialSpec) -> dict:
     order = sjf_priority if q["order"] == "sjf" else fifo_priority
     result = simulate(
         instance,
-        _policy_for(q["policy"], q["eps"], q["seed"]),
+        _resolve_policy(q["policy"], instance, q["eps"], q["seed"]),
         speeds=SpeedProfile.uniform(q["speed"]),
         priority=order,
     )
@@ -138,6 +117,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "B1", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

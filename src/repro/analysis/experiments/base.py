@@ -1,20 +1,12 @@
-"""Common experiment infrastructure: result bundle and registry."""
+"""The result bundle every experiment's reduce step returns."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.analysis.tables import Table
-from repro.exceptions import AnalysisError
 
-__all__ = [
-    "ExperimentResult",
-    "register",
-    "get_experiment",
-    "run_experiment",
-    "all_experiment_ids",
-]
+__all__ = ["ExperimentResult"]
 
 
 @dataclass
@@ -67,38 +59,3 @@ class ExperimentResult:
         if self.notes:
             lines.append(f"notes: {self.notes}")
         return "\n".join(lines)
-
-
-_REGISTRY: dict[str, Callable[..., ExperimentResult]] = {}
-
-
-def register(exp_id: str):
-    """Decorator registering an experiment runner under ``exp_id``."""
-
-    def decorator(fn: Callable[..., ExperimentResult]):
-        if exp_id in _REGISTRY:
-            raise AnalysisError(f"duplicate experiment id {exp_id}")
-        _REGISTRY[exp_id] = fn
-        return fn
-
-    return decorator
-
-
-def get_experiment(exp_id: str) -> Callable[..., ExperimentResult]:
-    """The runner registered under ``exp_id``."""
-    try:
-        return _REGISTRY[exp_id]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown experiment {exp_id!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def run_experiment(exp_id: str, **params) -> ExperimentResult:
-    """Run the experiment registered under ``exp_id``."""
-    return get_experiment(exp_id)(**params)
-
-
-def all_experiment_ids() -> list[str]:
-    """All registered ids, sorted."""
-    return sorted(_REGISTRY)

@@ -1,17 +1,17 @@
-"""Declarative trial grids for the experiment registry.
+"""The experiment registry: declarative trial grids.
 
 Every experiment is a *sweep*: a grid of pure trials (one simulation or
 LP measurement each) folded by a deterministic reduce step into the
-:class:`~repro.analysis.experiments.base.ExperimentResult` tables.  This
-module makes that structure explicit so the runner can shard **trials**
-— not just whole experiments — across worker processes:
+:class:`~repro.analysis.experiments.base.ExperimentResult` tables.  The
+trial is the unit the runner (:mod:`repro.analysis.runner`) schedules
+across worker processes and caches on disk:
 
 * :func:`register_grid` registers an experiment as three pure pieces —
   ``trials(params) -> [TrialSpec]``, ``run_trial(spec) -> payload`` and
-  ``reduce(params, [(spec, payload)]) -> ExperimentResult`` — and
-  derives the classic monolithic ``run(**params)`` from them, so
-  :func:`~repro.analysis.experiments.base.run_experiment` keeps working
-  unchanged.
+  ``reduce(params, [(spec, payload)]) -> ExperimentResult`` — and is the
+  only way to register one.
+* :func:`run_experiment` is the serial in-process reference: every
+  trial in spec order, then the reduce.
 * Trial payloads must be plain picklable data (dicts of floats/strings),
   never simulation objects, so they can cross process boundaries and be
   cached on disk content-addressed by :func:`trial_digest`.
@@ -19,9 +19,9 @@ module makes that structure explicit so the runner can shard **trials**
 Determinism
 -----------
 :func:`execute_trial` reseeds the *global* ``random`` / ``numpy.random``
-generators from the trial's digest before running it.  The derived
-serial ``run()`` and the runner's sharded path both go through it, so a
-trial computes bit-identical payloads no matter which process, in which
+generators from the trial's digest before running it.  The serial
+:func:`run_experiment` and the runner both go through it, so a trial
+computes bit-identical payloads no matter which process, in which
 order, executes it.  The digest deliberately excludes the package
 version and cache schema (those salt the *cache key*, in
 :mod:`repro.analysis.runner`): bumping the version must invalidate
@@ -37,15 +37,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analysis.experiments.base import ExperimentResult, register
+from repro.analysis.experiments.base import ExperimentResult
 from repro.exceptions import AnalysisError
 
 __all__ = [
     "TrialSpec",
     "GridExperiment",
     "register_grid",
-    "get_grid",
-    "all_grid_ids",
+    "get_experiment",
+    "run_experiment",
+    "all_experiment_ids",
     "merge_params",
     "enumerate_trials",
     "trial_digest",
@@ -136,8 +137,8 @@ def trial_seed(digest: str) -> int:
 def execute_trial(grid: GridExperiment, spec: TrialSpec) -> Any:
     """Run one trial after reseeding the global RNGs from its digest.
 
-    Both the derived serial ``run()`` and the sharded runner call this,
-    which is what makes their outputs bit-identical.
+    Both :func:`run_experiment` and the runner call this, which is what
+    makes their outputs bit-identical.
     """
     import numpy as np
 
@@ -154,9 +155,11 @@ def register_grid(
     trials: Callable[[dict], list[TrialSpec]],
     run_trial: Callable[[TrialSpec], Any],
     reduce: Callable[[dict, list[tuple[TrialSpec, Any]]], ExperimentResult],
-) -> Callable[..., ExperimentResult]:
-    """Register a grid experiment; returns the derived serial ``run``."""
-    grid = GridExperiment(
+) -> None:
+    """Register a grid experiment under ``exp_id`` (ids are unique)."""
+    if exp_id in _GRIDS:
+        raise AnalysisError(f"duplicate experiment id {exp_id}")
+    _GRIDS[exp_id] = GridExperiment(
         exp_id=exp_id,
         defaults=dict(defaults),
         trials=trials,
@@ -164,25 +167,26 @@ def register_grid(
         reduce=reduce,
     )
 
-    def run(**params) -> ExperimentResult:
-        merged = merge_params(grid, params)
-        specs = enumerate_trials(grid, merged)
-        payloads = [execute_trial(grid, spec) for spec in specs]
-        return grid.reduce(merged, list(zip(specs, payloads)))
 
-    run.__name__ = f"run_{exp_id.lower()}"
-    run.__qualname__ = run.__name__
-    run.__doc__ = f"Serial execution of the {exp_id} trial grid."
-    register(exp_id)(run)
-    _GRIDS[exp_id] = grid
-    return run
+def get_experiment(exp_id: str) -> GridExperiment:
+    """The grid registered under ``exp_id``."""
+    try:
+        return _GRIDS[exp_id]
+    except KeyError:
+        raise AnalysisError(
+            f"unknown experiment {exp_id!r}; known: {sorted(_GRIDS)}"
+        ) from None
 
 
-def get_grid(exp_id: str) -> GridExperiment | None:
-    """The grid registered under ``exp_id`` (``None`` for opaque runners)."""
-    return _GRIDS.get(exp_id)
+def run_experiment(exp_id: str, **params) -> ExperimentResult:
+    """Run the experiment registered under ``exp_id`` serially, in this
+    process: every trial in spec order, then the reduce."""
+    grid = get_experiment(exp_id)
+    merged = merge_params(grid, params)
+    specs = enumerate_trials(grid, merged)
+    return grid.reduce(merged, [(spec, execute_trial(grid, spec)) for spec in specs])
 
 
-def all_grid_ids() -> list[str]:
-    """All grid-capable experiment ids, sorted."""
+def all_experiment_ids() -> list[str]:
+    """All registered ids, sorted."""
     return sorted(_GRIDS)

@@ -19,8 +19,6 @@ from repro.analysis.experiments.base import ExperimentResult
 from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     seed=6,
     eps_values=(0.25, 0.5),
@@ -101,6 +99,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "L2", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

@@ -28,8 +28,6 @@ from repro.analysis.tables import Table
 from repro.sim.engine import SchedulerView
 from repro.workload.job import Job
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=30,
     eps=0.5,
@@ -148,6 +146,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "L4", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

@@ -27,8 +27,6 @@ from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.experiments.workloads import standard_trees
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=40,
     seed=8,
@@ -131,6 +129,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "L8", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

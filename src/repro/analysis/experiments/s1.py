@@ -21,8 +21,6 @@ from repro.analysis.experiments.base import ExperimentResult
 from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     sizes=(200, 800, 2400),
     seed=12,
@@ -88,6 +86,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "S1", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

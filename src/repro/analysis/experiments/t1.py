@@ -32,8 +32,6 @@ from repro.analysis.ratios import competitive_report, lower_bound_cached
 from repro.analysis.stats import summarize
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _SPEEDS = (1.0, 1.1, 1.25, 1.5, 2.0)
 
 _DEFAULTS = dict(
@@ -155,6 +153,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "T1", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

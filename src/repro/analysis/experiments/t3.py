@@ -23,8 +23,6 @@ from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.experiments.workloads import identical_instance, standard_trees
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=60,
     seed=3,
@@ -107,6 +105,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "T3", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

@@ -31,8 +31,6 @@ from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.tables import Table
 from repro.core.assignment import GreedyIdenticalAssignment
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=70,
     seed=15,
@@ -141,6 +139,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "X3", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

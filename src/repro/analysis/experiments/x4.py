@@ -31,8 +31,6 @@ from repro.analysis.experiments.workloads import standard_trees, unrelated_insta
 from repro.analysis.ratios import competitive_report, lower_bound_cached
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=45,
     load=0.85,
@@ -124,6 +122,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "X4", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

@@ -34,8 +34,6 @@ from repro.analysis.experiments.base import ExperimentResult
 from repro.analysis.experiments.grid import TrialSpec, register_grid
 from repro.analysis.tables import Table
 
-__all__ = ["run"]
-
 _DEFAULTS = dict(
     n=60,
     seed=17,
@@ -47,26 +45,6 @@ _DEFAULTS = dict(
 
 _POLICY_NAMES = ("greedy", "closest", "random", "least-loaded", "round-robin")
 _SCENARIOS = ("static", "events")
-
-
-def _policy_for(name: str, eps: float, seed: int):
-    from repro.baselines.policies import (
-        ClosestLeafAssignment,
-        LeastLoadedAssignment,
-        RandomAssignment,
-        RoundRobinAssignment,
-    )
-    from repro.core.assignment import GreedyIdenticalAssignment
-
-    if name == "greedy":
-        return GreedyIdenticalAssignment(eps)
-    if name == "closest":
-        return ClosestLeafAssignment()
-    if name == "random":
-        return RandomAssignment(seed)
-    if name == "least-loaded":
-        return LeastLoadedAssignment()
-    return RoundRobinAssignment()
 
 
 def _event_deck(instance, tree, cancel_every: int):
@@ -115,6 +93,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 
 def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.experiments.workloads import identical_instance
+    from repro.api import _resolve_policy
     from repro.analysis.ratios import lower_bound_for
     from repro.network.builders import datacenter_tree
     from repro.sim.engine import simulate
@@ -133,7 +112,7 @@ def _run_trial(spec: TrialSpec) -> dict:
     )
     result = simulate(
         instance,
-        _policy_for(q["policy"], q["eps"], q["seed"]),
+        _resolve_policy(q["policy"], instance, q["eps"], q["seed"]),
         speeds=SpeedProfile.uniform(q["speed"]),
         events=events,
     )
@@ -230,6 +209,6 @@ def _reduce(p: dict, outcomes: list[tuple[TrialSpec, dict]]) -> ExperimentResult
     )
 
 
-run = register_grid(
+register_grid(
     "X5", defaults=_DEFAULTS, trials=_trials, run_trial=_run_trial, reduce=_reduce
 )

@@ -1,50 +1,40 @@
-"""Parallel experiment runner with content-addressed result caching.
+"""Parallel experiment runner with content-addressed trial caching.
 
-The validation registry (T1–T5, L1–L8, X1–X4, B1/B2, D1, M1, S1, F1/F2)
-used to run strictly serially through
-:func:`~repro.analysis.experiments.base.run_experiment`.  This module
-executes any subset of the registry across worker processes and
-memoises finished :class:`~repro.analysis.experiments.base.ExperimentResult`
-bundles on disk, so sweeps over bigger trees and more seeds only pay
-for what changed.
-
-Trial sharding
---------------
-Every experiment is a declarative **trial grid**
+Every registry experiment (T1–T5, L1–L8, X1–X5, B1/B2, D1, M1, S1,
+F1/F2) is a declarative **trial grid**
 (:mod:`repro.analysis.experiments.grid`): a list of pure trial specs
-plus a deterministic reduce.  With ``shard_trials`` (the default) the
-runner schedules *trials*, not whole experiments, across the worker
-pool — D1's four LP-heavy cells no longer serialise behind each other,
-and T1's 150 simulation cells spread over every core.  Each trial is
-cached individually, so rerunning a sweep with three new seeds pays for
-exactly the new cells.  The reduce step always runs in the parent, in
-spec order, so registry output is bit-identical to the serial path
-(asserted by test).
+plus a deterministic reduce.  This module runs any subset of the
+registry with the trial as its only unit of work and of storage: it
+schedules the trials of every requested experiment at once over a
+worker pool — D1's four LP-heavy cells no longer serialise behind each
+other, and T1's 150 simulation cells spread over every core — and
+caches each trial payload individually, so rerunning a sweep with three
+new seeds pays for exactly the new cells.  The reduce step always runs
+in the parent, in spec order, so registry output is bit-identical to the
+serial :func:`~repro.analysis.experiments.grid.run_experiment` (asserted
+by test).
 
 Determinism
 -----------
 Experiments are already deterministic given their parameters (seeds are
 explicit), but some code paths consult the *global* ``random`` /
-``numpy.random`` state.  Every trial — inline in ``run()``, serial in
-this process, or in a worker — first reseeds both global generators
-from the trial's content digest (see
-:func:`~repro.analysis.experiments.grid.execute_trial`); whole-
-experiment fallback tasks reseed from the task's cache key.  Results
-therefore do not depend on how tasks are interleaved over workers.
+``numpy.random`` state.  Every trial — serial in this process or in a
+worker — first reseeds both global generators from the trial's content
+digest (see :func:`~repro.analysis.experiments.grid.execute_trial`), so
+results do not depend on how trials are interleaved over workers.
 
 Cache layout
 ------------
-``<cache_dir>/<key>.pkl`` holds finished experiment bundles and
 ``<cache_dir>/trials/<key>.pkl`` holds individual trial payloads, where
 ``key`` is the SHA-256 of the canonical JSON of ``(schema version,
-package version, experiment id, [trial id,] parameters)``.  Any
-parameter change, package version bump, or cache schema change misses
-cleanly; entries are written atomically (temp file + rename) so a
-crashed run never leaves a torn entry, and unreadable entries are
-treated as misses.  ``<cache_dir>/lp_bounds/`` is the memoized
-lower-bound service's shared disk layer
-(:func:`repro.analysis.ratios.set_lower_bound_disk_cache`), enabled
-whenever the cache is.
+package version, experiment id, trial id, parameters)``.  A warm run
+replays every trial from disk and reduces in the parent.  Any parameter
+change, package version bump, or cache schema change misses cleanly;
+entries are written atomically (temp file + rename) so a crashed run
+never leaves a torn entry, and unreadable entries are treated as misses.
+``<cache_dir>/lp_bounds/`` is the memoized lower-bound service's shared
+disk layer (:func:`repro.analysis.ratios.set_lower_bound_disk_cache`),
+enabled whenever the cache is.
 """
 
 from __future__ import annotations
@@ -53,7 +43,6 @@ import hashlib
 import json
 import os
 import pickle
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +56,6 @@ __all__ = [
     "RunnerOutcome",
     "cache_key",
     "trial_cache_key",
-    "cache_path",
     "trial_cache_path",
     "manifest_path",
     "clear_cache",
@@ -100,21 +88,22 @@ class RunnerOutcome:
         The :class:`ExperimentResult` (identical to a direct
         ``run_experiment`` call with the same parameters).
     cached:
-        Whether the whole result came from cache — the experiment-level
-        entry, or (sharded) every one of its trials.
+        Whether every one of its trials came from the cache.
     wall_seconds:
-        Wall-clock of the *computation*: cold-run time for cached
-        entries (re-reported, not re-measured); for a sharded run the
-        sum of per-trial walls plus the reduce.
+        Wall-clock of the *computation*: the sum of per-trial walls
+        (cold-run time for cached trials, re-reported, not re-measured)
+        plus the reduce.
     key:
-        The content-addressed experiment-level cache key.
+        The content hash of (experiment, parameters)
+        (:func:`cache_key`), which names the run in its manifest.
     counters:
         Aggregated :class:`EngineCounters` over every simulation the
         experiment ran, when counter collection was requested (for a
-        cache hit: the counters stored by the cold run), else ``None``.
+        cached trial: the counters stored by its cold run), else
+        ``None``.
     trials_total / trials_cached:
         Grid size and how many of its trials were answered from the
-        trial cache (0/0 for whole-experiment fallback tasks).
+        trial cache.
     """
 
     exp_id: str
@@ -128,7 +117,8 @@ class RunnerOutcome:
 
 
 def cache_key(exp_id: str, params: dict | None = None) -> str:
-    """Content hash identifying one (experiment, parameters) task."""
+    """Content hash identifying one (experiment, parameters) run; it
+    names the run in its :class:`RunnerOutcome` and manifest."""
     from repro import __version__
 
     payload = json.dumps(
@@ -167,10 +157,6 @@ def trial_cache_key(exp_id: str, trial_id: str, params: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def cache_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / f"{key}.pkl"
-
-
 def trial_cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / "trials" / f"{key}.pkl"
 
@@ -181,63 +167,23 @@ def manifest_path(manifest_dir: str | Path, exp_id: str) -> Path:
 
 
 def clear_cache(cache_dir: str | Path = DEFAULT_CACHE_DIR) -> int:
-    """Delete every cache entry (experiment bundles, trial payloads,
-    and memoized LP bounds); returns the number removed."""
+    """Delete every cache entry (trial payloads and memoized LP
+    bounds); returns the number removed."""
     root = Path(cache_dir)
     if not root.is_dir():
         return 0
     removed = 0
-    for pattern in ("*.pkl", "trials/*.pkl", "lp_bounds/*.json"):
+    for pattern in ("trials/*.pkl", "lp_bounds/*.json"):
         for entry in root.glob(pattern):
             entry.unlink(missing_ok=True)
             removed += 1
     return removed
 
 
-def _seed_for(key: str) -> int:
-    return int(key[:16], 16) % 2**32
-
-
 def _set_lp_disk(lp_dir: str | None) -> None:
     from repro.analysis.ratios import set_lower_bound_disk_cache
 
     set_lower_bound_disk_cache(lp_dir)
-
-
-def _execute(
-    exp_id: str,
-    params: dict,
-    key: str,
-    collect_counters: bool,
-    lp_dir: str | None = None,
-):
-    """Run one whole experiment (in this or a worker process).
-
-    Returns ``(result, counters_dict | None, wall_seconds)``.  Reseeds
-    the global RNGs from the task key first so serial and parallel
-    schedules produce bit-identical results.
-    """
-    import numpy as np
-
-    from repro.analysis.experiments import run_experiment
-    from repro.sim import counters as counter_mod
-
-    _set_lp_disk(lp_dir)
-    seed = _seed_for(key)
-    random.seed(seed)
-    np.random.seed(seed)
-    if collect_counters:
-        counter_mod.enable_global_counters()
-    try:
-        started = perf_counter()
-        result = run_experiment(exp_id, **params)
-        wall = perf_counter() - started
-        tallies = counter_mod.global_counters()
-        counters = tallies.as_dict() if tallies is not None else None
-    finally:
-        if collect_counters:
-            counter_mod.disable_global_counters()
-    return result, counters, wall
 
 
 def _execute_trial(
@@ -254,14 +200,11 @@ def _execute_trial(
     global RNGs from the trial digest, so the payload is bit-identical
     no matter which process or in what order the trial runs.
     """
-    import repro.analysis.experiments  # noqa: F401  (registers the grids)
-    from repro.analysis.experiments.grid import TrialSpec, execute_trial, get_grid
-    from repro.exceptions import AnalysisError
+    from repro.analysis.experiments import get_experiment
+    from repro.analysis.experiments.grid import TrialSpec, execute_trial
     from repro.sim import counters as counter_mod
 
-    grid = get_grid(exp_id)
-    if grid is None:
-        raise AnalysisError(f"no trial grid registered for {exp_id!r}")
+    grid = get_experiment(exp_id)
     _set_lp_disk(lp_dir)
     spec = TrialSpec(exp_id, trial_id, params)
     if collect_counters:
@@ -279,6 +222,7 @@ def _execute_trial(
 
 
 def _load_cached(path: Path) -> dict | None:
+    """The trial entry at ``path``, or ``None`` for a miss."""
     # Unpickling arbitrary bytes can raise nearly anything (ValueError,
     # ImportError, ...), not just UnpicklingError; any unreadable entry
     # is simply a miss, so the cache can never poison a run.
@@ -287,7 +231,7 @@ def _load_cached(path: Path) -> dict | None:
             entry = pickle.load(fh)
     except Exception:
         return None
-    if not isinstance(entry, dict):
+    if not isinstance(entry, dict) or "payload" not in entry:
         return None
     return entry
 
@@ -319,242 +263,128 @@ def run_experiments(
     cache_dir: str | Path = DEFAULT_CACHE_DIR,
     use_cache: bool = True,
     collect_counters: bool = False,
-    shard_trials: bool = True,
     manifest_dir: str | Path | None = None,
 ) -> list[RunnerOutcome]:
-    """Run experiments, possibly in parallel, with result caching.
+    """Run experiments trial by trial, possibly in parallel, with
+    per-trial result caching.
 
     Parameters
     ----------
     exp_ids:
         Ids to run (``None`` = the whole registry), returned in the
-        given order.
+        given order.  Every id is resolved before any trial runs, so an
+        unknown one raises :class:`~repro.exceptions.AnalysisError`
+        up front.
     params_by_id:
         Optional per-id keyword overrides (defaults: each experiment's
         own defaults).  Keyword-only (the positional form was removed
         after its one-release deprecation window).
     parallel:
-        Worker processes for cache misses; ``<= 1`` runs serially in
-        this process.  Outputs are bit-identical either way.
+        Worker processes for the trials that miss the cache, drawn from
+        all requested experiments at once; ``<= 1`` runs them serially
+        in this process.  Outputs are bit-identical either way.
     cache_dir / use_cache:
         Cache location and switch.  With ``use_cache=False`` nothing is
         read or written (the LP-bound disk layer is disabled too).
     collect_counters:
         Meter every simulation the experiments run and attach the
         aggregate to each outcome.
-    shard_trials:
-        Decompose grid experiments into their trials and schedule the
-        trials (across all requested experiments at once) over the
-        worker pool, caching each trial payload individually.  With
-        ``False`` every experiment is one opaque task, as in the
-        pre-grid runner.
     manifest_dir:
         When set, write one ``<exp_id>.manifest.json`` per experiment
-        (see :func:`manifest_path`): verdict, cache key, wall clock,
-        and — for sharded experiments — a per-trial provenance row
-        (trial id, parameters, content digest, cache key, hit/miss,
-        wall).  The manifest is a derived artifact: it never feeds back
-        into caching or results.
+        (see :func:`manifest_path`): verdict, key, wall clock, and a
+        per-trial provenance row (trial id, parameters, content digest,
+        cache key, hit/miss, wall).  The manifest is a derived artifact:
+        it never feeds back into caching or results.
     """
-    from repro.analysis.experiments import all_experiment_ids
+    from repro.analysis.experiments import all_experiment_ids, get_experiment
     from repro.analysis.experiments.grid import (
         enumerate_trials,
-        get_grid,
         merge_params,
         trial_digest,
     )
 
     if exp_ids is None:
         exp_ids = all_experiment_ids()
+    grids = [get_experiment(eid) for eid in exp_ids]
     params_by_id = params_by_id or {}
     lp_dir = str(Path(cache_dir) / "lp_bounds") if use_cache else None
     _set_lp_disk(lp_dir)
-    tasks = [
-        (eid, params_by_id.get(eid, {}), cache_key(eid, params_by_id.get(eid, {})))
-        for eid in exp_ids
-    ]
 
-    outcomes: dict[int, RunnerOutcome] = {}
-    whole_misses: list[tuple[int, str, dict, str]] = []
-    # i -> sharded-job bookkeeping for experiments resolved trial-wise.
-    grid_jobs: dict[int, dict] = {}
-    # Flat list of trial executions still needed, across all experiments.
-    trial_misses: list[tuple[int, int, str, str, dict, str]] = []
-
-    for i, (eid, params, key) in enumerate(tasks):
-        entry = _load_cached(cache_path(cache_dir, key)) if use_cache else None
-        if entry is not None and "result" in entry:
-            counters = entry.get("counters")
-            trials_total = int(entry.get("trials_total", 0))
-            outcomes[i] = RunnerOutcome(
-                exp_id=eid,
-                result=entry["result"],
-                cached=True,
-                wall_seconds=entry.get("wall_seconds", 0.0),
-                key=key,
-                counters=(
-                    EngineCounters.from_dict(counters)
-                    if counters is not None
-                    else None
-                ),
-                trials_total=trials_total,
-                trials_cached=trials_total,
-            )
-            continue
-        grid = get_grid(eid) if shard_trials else None
-        if grid is None:
-            whole_misses.append((i, eid, params, key))
-            continue
-        merged = merge_params(grid, params)
+    # Per experiment: merged parameters, specs, trial cache keys, and
+    # one {"payload", "counters", "wall_seconds"} entry per trial (None
+    # until computed below) with whether it came from the cache.
+    jobs = []
+    # Every trial still to compute, across all experiments, with the
+    # entry list its result goes into.
+    misses = []
+    for eid, grid in zip(exp_ids, grids):
+        merged = merge_params(grid, params_by_id.get(eid, {}))
         specs = enumerate_trials(grid, merged)
-        job = {
-            "eid": eid,
-            "key": key,
-            "grid": grid,
-            "merged": merged,
-            "specs": specs,
-            "payloads": {},
-            "counters": [],
-            "walls": [],
-            "cached_trials": 0,
-            "trial_meta": {},
-        }
-        grid_jobs[i] = job
-        for t, spec in enumerate(specs):
-            tkey = trial_cache_key(eid, spec.trial_id, spec.params)
-            t_entry = (
-                _load_cached(trial_cache_path(cache_dir, tkey)) if use_cache else None
-            )
-            if t_entry is not None and "payload" in t_entry:
-                job["payloads"][t] = t_entry["payload"]
-                job["counters"].append(t_entry.get("counters"))
-                job["walls"].append(t_entry.get("wall_seconds", 0.0))
-                job["cached_trials"] += 1
-                job["trial_meta"][t] = {
-                    "trial_id": spec.trial_id,
-                    "params": spec.params,
-                    "digest": trial_digest(spec),
-                    "cache_key": tkey,
-                    "cached": True,
-                    "wall_seconds": t_entry.get("wall_seconds", 0.0),
-                }
-            else:
-                trial_misses.append((i, t, eid, spec.trial_id, spec.params, tkey))
+        keys = [trial_cache_key(eid, spec.trial_id, spec.params) for spec in specs]
+        entries = [
+            _load_cached(trial_cache_path(cache_dir, key)) if use_cache else None
+            for key in keys
+        ]
+        misses += [
+            (entries, t, spec, key)
+            for t, (spec, key, entry) in enumerate(zip(specs, keys, entries))
+            if entry is None
+        ]
+        jobs.append((merged, specs, keys, entries, [e is not None for e in entries]))
 
-    # -- compute every missing task (trials and whole experiments) -----
-    if trial_misses or whole_misses:
-        if parallel > 1:
-            workers = min(parallel, len(trial_misses) + len(whole_misses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                t_futures = [
-                    (i, t, tkey, pool.submit(
-                        _execute_trial, eid, trial_id, params, collect_counters, lp_dir
-                    ))
-                    for i, t, eid, trial_id, params, tkey in trial_misses
-                ]
-                w_futures = [
-                    (i, eid, key, pool.submit(
-                        _execute, eid, params, key, collect_counters, lp_dir
-                    ))
-                    for i, eid, params, key in whole_misses
-                ]
-                t_computed = [(i, t, tkey, *f.result()) for i, t, tkey, f in t_futures]
-                w_computed = [(i, eid, key, *f.result()) for i, eid, key, f in w_futures]
-        else:
-            t_computed = [
-                (i, t, tkey, *_execute_trial(
-                    eid, trial_id, params, collect_counters, lp_dir
-                ))
-                for i, t, eid, trial_id, params, tkey in trial_misses
+    calls = [(spec.exp_id, spec.trial_id, spec.params) for _, _, spec, _ in misses]
+    if parallel > 1 and calls:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(calls))) as pool:
+            futures = [
+                pool.submit(_execute_trial, *call, collect_counters, lp_dir)
+                for call in calls
             ]
-            w_computed = [
-                (i, eid, key, *_execute(eid, params, key, collect_counters, lp_dir))
-                for i, eid, params, key in whole_misses
-            ]
+            computed = [f.result() for f in futures]
+    else:
+        computed = [_execute_trial(*call, collect_counters, lp_dir) for call in calls]
+    for (entries, t, _, key), (payload, counters, wall) in zip(misses, computed):
+        entries[t] = {"payload": payload, "counters": counters, "wall_seconds": wall}
+        if use_cache:
+            _store(trial_cache_path(cache_dir, key), entries[t])
 
-        for i, t, tkey, payload, counters, wall in t_computed:
-            if use_cache:
-                _store(
-                    trial_cache_path(cache_dir, tkey),
-                    {"payload": payload, "counters": counters, "wall_seconds": wall},
-                )
-            job = grid_jobs[i]
-            job["payloads"][t] = payload
-            job["counters"].append(counters)
-            job["walls"].append(wall)
-            spec = job["specs"][t]
-            job["trial_meta"][t] = {
-                "trial_id": spec.trial_id,
-                "params": spec.params,
-                "digest": trial_digest(spec),
-                "cache_key": tkey,
-                "cached": False,
-                "wall_seconds": wall,
-            }
-
-        for i, eid, key, result, counters, wall in w_computed:
-            if use_cache:
-                _store(
-                    cache_path(cache_dir, key),
-                    {"result": result, "counters": counters, "wall_seconds": wall},
-                )
-            outcomes[i] = RunnerOutcome(
-                exp_id=eid,
-                result=result,
-                cached=False,
-                wall_seconds=wall,
-                key=key,
-                counters=(
-                    EngineCounters.from_dict(counters)
-                    if counters is not None
-                    else None
-                ),
-            )
-
-    # -- reduce sharded experiments in the parent, in spec order -------
-    for i, job in grid_jobs.items():
-        specs = job["specs"]
+    # -- reduce every experiment in the parent, in spec order ----------
+    outcomes = []
+    for eid, grid, (merged, specs, keys, entries, hits) in zip(exp_ids, grids, jobs):
+        params = params_by_id.get(eid, {})
         started = perf_counter()
-        result = job["grid"].reduce(
-            job["merged"], [(spec, job["payloads"][t]) for t, spec in enumerate(specs)]
+        result = grid.reduce(
+            merged, [(spec, entry["payload"]) for spec, entry in zip(specs, entries)]
         )
         reduce_wall = perf_counter() - started
-        counters = _merge_counter_dicts(job["counters"])
-        wall = sum(job["walls"]) + reduce_wall
-        if use_cache:
-            _store(
-                cache_path(cache_dir, job["key"]),
-                {
-                    "result": result,
-                    "counters": counters,
-                    "wall_seconds": wall,
-                    "trials_total": len(specs),
-                },
-            )
-        outcomes[i] = RunnerOutcome(
-            exp_id=job["eid"],
+        counters = _merge_counter_dicts([entry.get("counters") for entry in entries])
+        walls = [entry.get("wall_seconds", 0.0) for entry in entries]
+        out = RunnerOutcome(
+            exp_id=eid,
             result=result,
-            cached=job["cached_trials"] == len(specs),
-            wall_seconds=wall,
-            key=job["key"],
+            cached=all(hits),
+            wall_seconds=sum(walls) + reduce_wall,
+            key=cache_key(eid, params),
             counters=(
                 EngineCounters.from_dict(counters) if counters is not None else None
             ),
             trials_total=len(specs),
-            trials_cached=job["cached_trials"],
+            trials_cached=sum(hits),
         )
-
-    ordered = [outcomes[i] for i in range(len(tasks))]
-    if manifest_dir is not None:
-        for i, out in enumerate(ordered):
-            job = grid_jobs.get(i)
-            trials = (
-                [job["trial_meta"][t] for t in sorted(job["trial_meta"])]
-                if job is not None
-                else []
-            )
-            _write_manifest(manifest_dir, out, tasks[i][1], trials)
-    return ordered
+        if manifest_dir is not None:
+            rows = [
+                {
+                    "trial_id": spec.trial_id,
+                    "params": spec.params,
+                    "digest": trial_digest(spec),
+                    "cache_key": key,
+                    "cached": hit,
+                    "wall_seconds": wall,
+                }
+                for spec, key, hit, wall in zip(specs, keys, hits, walls)
+            ]
+            _write_manifest(manifest_dir, out, params, rows)
+        outcomes.append(out)
+    return outcomes
 
 
 def _toolchain_provenance() -> dict:
@@ -592,9 +422,6 @@ def _write_manifest(
         # have used and the compiled kernel's compiler identity, so a
         # manifest pins the execution environment, not just parameters.
         "toolchain": _toolchain_provenance(),
-        # Per-trial rows exist only when the experiment was resolved
-        # trial-wise in this invocation (experiment-level cache hits and
-        # whole-experiment fallbacks have nothing finer to report).
         "trials": trials,
     }
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -612,16 +439,12 @@ def summary_table(outcomes: list[RunnerOutcome]) -> Table:
         ["id", "verdict", "wall_s", "source", "trials(cached)", "events"],
     )
     for out in outcomes:
-        if out.trials_total:
-            trials = f"{out.trials_total}({out.trials_cached})"
-        else:
-            trials = "-"
         table.add_row(
             out.exp_id,
             "PASS" if out.result.passed else "FAIL",
             out.wall_seconds,
             "cache" if out.cached else "run",
-            trials,
+            f"{out.trials_total}({out.trials_cached})",
             int(out.counters.events_processed) if out.counters is not None else "-",
         )
     return table

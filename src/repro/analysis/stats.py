@@ -1,24 +1,22 @@
 """Replication statistics for experiments.
 
-One seed is an anecdote.  :func:`replicate` runs a measurement across
-seeds and returns a :class:`Replication` with mean, standard deviation,
-and a normal-approximation confidence interval; :func:`compare` reports
-whether one configuration beats another with non-overlapping intervals.
-Used by tests to make the stochastic experiments' conclusions robust,
-and available to users sweeping their own workloads.
+One seed is an anecdote.  :func:`summarize` folds a measurement taken
+across seeds into a :class:`Replication` with mean, standard deviation,
+and a normal-approximation confidence interval; the trial-grid reduce
+steps report their multi-seed cells through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import AnalysisError
 
-__all__ = ["Replication", "replicate", "summarize", "compare"]
+__all__ = ["Replication", "summarize"]
 
 #: two-sided z values for common confidence levels
 _Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -55,30 +53,13 @@ class Replication:
         return f"{self.mean:.4g} ± {self.half_width:.2g} ({int(self.level*100)}% CI)"
 
 
-def replicate(
-    measure: Callable[[int], float],
-    seeds: Sequence[int],
-    *,
-    level: float = 0.95,
-) -> Replication:
-    """Run ``measure(seed)`` for every seed and summarise.
+def summarize(values: Sequence[float], *, level: float = 0.95) -> Replication:
+    """Summarise per-seed measurements.
 
     Raises
     ------
     AnalysisError
-        On fewer than 2 seeds or an unsupported confidence level.
-    """
-    if len(seeds) < 2:
-        raise AnalysisError("need at least 2 seeds for a confidence interval")
-    return summarize([measure(s) for s in seeds], level=level)
-
-
-def summarize(values: Sequence[float], *, level: float = 0.95) -> Replication:
-    """Summarise already-measured values exactly as :func:`replicate` would.
-
-    The trial-grid reduce steps use this on payloads computed in worker
-    processes; going through the same float operations as the inline
-    path keeps sharded and serial experiment tables bit-identical.
+        On fewer than 2 values or an unsupported confidence level.
     """
     if len(values) < 2:
         raise AnalysisError("need at least 2 values for a confidence interval")
@@ -96,16 +77,3 @@ def summarize(values: Sequence[float], *, level: float = 0.95) -> Replication:
         ci_high=mean + half,
         level=level,
     )
-
-
-def compare(a: Replication, b: Replication) -> str:
-    """Verdict on whether ``a``'s mean is below ``b``'s.
-
-    Returns ``"a_lower"`` / ``"b_lower"`` when the confidence intervals
-    do not overlap, else ``"indistinguishable"``.
-    """
-    if a.ci_high < b.ci_low:
-        return "a_lower"
-    if b.ci_high < a.ci_low:
-        return "b_lower"
-    return "indistinguishable"

@@ -527,7 +527,6 @@ def run_experiments(
     cache_dir: "str | None" = None,
     use_cache: bool = True,
     collect_counters: bool = False,
-    shard_trials: bool = True,
     manifest_dir: "str | None" = None,
 ) -> "list[RunnerOutcome]":
     """Run registered experiments through the parallel, cached runner.
@@ -547,6 +546,5 @@ def run_experiments(
         cache_dir=cache_dir if cache_dir is not None else runner.DEFAULT_CACHE_DIR,
         use_cache=use_cache,
         collect_counters=collect_counters,
-        shard_trials=shard_trials,
         manifest_dir=manifest_dir,
     )

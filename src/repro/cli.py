@@ -12,8 +12,8 @@
 * ``experiment`` — run one or all registered experiments serially and
   print their reports (the same tables the benchmarks regenerate);
 * ``experiments`` — run many experiments through the trial-sharding
-  parallel runner with content-addressed result caching
-  (``--parallel N``, ``--no-cache``, ``--no-shard``, ``--counters``);
+  parallel runner with content-addressed trial caching
+  (``--parallel N``, ``--no-cache``, ``--counters``);
 * ``list-experiments`` — show the registry;
 * ``generate`` — write a synthetic instance to a JSON trace for later
   ``run --trace`` calls;
@@ -45,13 +45,12 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis.tables import Table
+from repro.api import POLICY_NAMES, SIZE_DISTS, _resolve_policy
 
 __all__ = ["main", "build_parser"]
 
 _TREES = ("kary", "paths", "caterpillar", "datacenter", "random", "figure1")
 DEFAULT_BENCH_SIZES = (200, 800, 2400)
-_POLICIES = ("greedy", "closest", "random", "least-loaded", "round-robin")
-_SIZES = ("uniform", "pareto", "bimodal")
 
 
 def _build_tree(args):
@@ -90,39 +89,13 @@ def _build_instance(args):
     )
 
 
-def _build_policy(name: str, instance, eps: float, seed: int):
-    from repro.baselines.policies import (
-        ClosestLeafAssignment,
-        LeastLoadedAssignment,
-        RandomAssignment,
-        RoundRobinAssignment,
-    )
-    from repro.core.assignment import (
-        GreedyIdenticalAssignment,
-        GreedyUnrelatedAssignment,
-    )
-    from repro.workload.instance import Setting
-
-    if name == "greedy":
-        if instance.setting is Setting.UNRELATED:
-            return GreedyUnrelatedAssignment(eps)
-        return GreedyIdenticalAssignment(eps)
-    if name == "closest":
-        return ClosestLeafAssignment()
-    if name == "random":
-        return RandomAssignment(seed)
-    if name == "least-loaded":
-        return LeastLoadedAssignment()
-    return RoundRobinAssignment()
-
-
 def _cmd_run(args) -> int:
     from repro.sim import backends
     from repro.sim.engine import fifo_priority, sjf_priority
     from repro.sim.speed import SpeedProfile
 
     instance = _build_instance(args)
-    policy = _build_policy(args.policy, instance, args.eps, args.seed)
+    policy = _resolve_policy(args.policy, instance, args.eps, args.seed)
 
     def _simulate():
         # backends.simulate resolves --backend through select_backend —
@@ -291,7 +264,6 @@ def _cmd_experiments(args) -> int:
         cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
         use_cache=not args.no_cache,
         collect_counters=args.counters,
-        shard_trials=not args.no_shard,
         manifest_dir=args.manifest,
     )
     if args.manifest:
@@ -318,9 +290,8 @@ def _cmd_list_experiments(args) -> int:
 
     table = Table("registered experiments", ["id", "summary"])
     for eid in all_experiment_ids():
-        fn = get_experiment(eid)
-        module = sys.modules.get(fn.__module__)
-        doc = (getattr(module, "__doc__", None) or fn.__doc__ or "").strip()
+        # The summary is the first line of the experiment's own module.
+        doc = (sys.modules[get_experiment(eid).trials.__module__].__doc__ or "").strip()
         table.add_row(eid, doc.splitlines()[0] if doc else "")
     print(table.render())
     return 0
@@ -355,7 +326,7 @@ def _cmd_plan(args) -> int:
     policy_name = args.policy
 
     def factory():
-        return _build_policy(policy_name, instance, args.eps, args.seed)
+        return _resolve_policy(policy_name, instance, args.eps, args.seed)
 
     plan = min_speed_for_flow(
         instance, factory, args.target, metric=args.metric, tol=args.tol
@@ -618,7 +589,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--jobs", type=int, default=50, help="number of jobs")
     p.add_argument("--load", type=float, default=0.9, help="offered bottleneck load")
-    p.add_argument("--size-dist", choices=_SIZES, default="uniform")
+    p.add_argument("--size-dist", choices=SIZE_DISTS, default="uniform")
     p.add_argument("--unrelated", action="store_true", help="unrelated endpoints")
     p.add_argument("--seed", type=int, default=0)
 
@@ -634,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one instance")
     _add_instance_flags(p_run)
-    p_run.add_argument("--policy", choices=_POLICIES, default="greedy")
+    p_run.add_argument("--policy", choices=POLICY_NAMES, default="greedy")
     p_run.add_argument("--eps", type=float, default=0.25)
     p_run.add_argument("--speed", type=float, default=1.0, help="uniform speed factor")
     p_run.add_argument("--fifo", action="store_true", help="FIFO nodes instead of SJF")
@@ -669,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(JSONL, Chrome trace format, or a summary table)",
     )
     _add_instance_flags(p_trace)
-    p_trace.add_argument("--policy", choices=_POLICIES, default="greedy")
+    p_trace.add_argument("--policy", choices=POLICY_NAMES, default="greedy")
     p_trace.add_argument("--eps", type=float, default=0.25)
     p_trace.add_argument("--speed", type=float, default=1.0, help="uniform speed factor")
     p_trace.add_argument("--fifo", action="store_true", help="FIFO nodes instead of SJF")
@@ -739,11 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the on-disk result cache entirely",
     )
     p_exps.add_argument(
-        "--no-shard",
-        action="store_true",
-        help="schedule whole experiments instead of individual trials",
-    )
-    p_exps.add_argument(
         "--cache-dir",
         default=None,
         help="cache directory (default: .cache/experiments)",
@@ -784,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="find the minimum uniform speed meeting a flow-time target"
     )
     _add_instance_flags(p_plan)
-    p_plan.add_argument("--policy", choices=_POLICIES, default="greedy")
+    p_plan.add_argument("--policy", choices=POLICY_NAMES, default="greedy")
     p_plan.add_argument("--eps", type=float, default=0.25)
     p_plan.add_argument("--target", type=float, required=True)
     p_plan.add_argument(
@@ -912,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="family parameters (unused slots ignored), e.g. kary A B",
     )
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--policy", choices=_POLICIES, default="greedy")
+    p_serve.add_argument("--policy", choices=POLICY_NAMES, default="greedy")
     p_serve.add_argument("--eps", type=float, default=0.25)
     p_serve.add_argument("--speed", type=float, default=1.0)
     p_serve.add_argument(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from repro.exceptions import SimulationError
 from repro.sim import engine as _engine
 from repro.sim.backends import c_build
-from repro.sim.backends.c_backend import CEngine, simulate_c
+from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
 from repro.sim.counters import global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
@@ -59,7 +59,6 @@ __all__ = [
     "select_backend",
     "simulate",
     "CEngine",
-    "simulate_c",
 ]
 
 #: The selectable engine backends.
@@ -201,15 +200,20 @@ def simulate(
     """
     backend = select_backend(backend).effective
     if backend == "c" and not _needs_event_order(sink, until, collect_counters):
-        return simulate_c(
-            instance,
-            policy,
-            speeds=speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
+        try:
+            engine = CEngine(
+                instance,
+                policy,
+                speeds,
+                priority=priority,
+                record_segments=record_segments,
+                check_invariants=check_invariants,
+                events=events,
+            )
+        except CKernelInapplicable:
+            pass
+        else:
+            return engine.run()
     return _engine.simulate(
         instance,
         policy,

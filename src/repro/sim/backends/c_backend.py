@@ -18,8 +18,8 @@ the contract:
   generic priority callables, custom policies, greedy or least-loaded
   with non-root origins, greedy-identical on unrelated endpoints,
   segment recording — raises :class:`CKernelInapplicable`, and
-  :func:`simulate_c` runs the python engine instead (same schedule,
-  slower execution).
+  :func:`repro.sim.backends.simulate` runs the python engine instead
+  (same schedule, slower execution).
 * **Marshal** — batch-precompute every input column as a numpy array
   (``np.lexsort`` priority ranks, finished-tolerances, preorder
   topology, the leaf table, in the unrelated setting the n x leaves
@@ -59,7 +59,6 @@ from repro.baselines.policies import (
     RoundRobinAssignment,
 )
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
-from repro.sim import engine as _engine
 from repro.sim.backends import c_build
 from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
 from repro.sim.result import JobRecord, SimulationResult
@@ -68,7 +67,7 @@ from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
 from repro.workload.events import Cancel, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
 
-__all__ = ["CEngine", "CKernelInapplicable", "simulate_c"]
+__all__ = ["CEngine", "CKernelInapplicable"]
 
 
 #: Upper bound on ``n_jobs * n_nodes``: the kernel's per-node heap and
@@ -711,43 +710,3 @@ class CEngine:
             counters=None,
             trace=None,
         )
-
-
-def simulate_c(
-    instance: Instance,
-    policy: AssignmentPolicy,
-    *,
-    speeds: SpeedProfile | None = None,
-    priority: PriorityFn = sjf_priority,
-    record_segments: bool = False,
-    check_invariants: bool = False,
-    events=None,
-) -> SimulationResult:
-    """Simulate on the compiled kernel, falling back to the python
-    engine for calls outside its plan (the schedule is identical).
-
-    Raises :class:`~repro.sim.backends.c_build.CKernelUnavailable` when
-    no working compiler exists — callers gate on
-    :func:`repro.sim.backends.c_build.availability` first.
-    """
-    try:
-        eng = CEngine(
-            instance,
-            policy,
-            speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    except CKernelInapplicable:
-        return _engine.simulate(
-            instance,
-            policy,
-            speeds=speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    return eng.run()

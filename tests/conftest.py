@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import pytest
@@ -15,7 +16,7 @@ def both_backends_fixture(module_name: str):
     metamorphic relations) call a module-global ``simulate``; binding
     ``_engine_backend = both_backends_fixture(__name__)`` in such a
     module parametrizes it over ``python`` / ``c`` by swapping that
-    global for the compiled kernel's wrapper, so every schedule
+    global for the ``backend="c"`` dispatcher, so every schedule
     assertion doubles as a cross-backend equivalence check.  The ``c``
     parameter skips on machines without a working compiler (or with
     ``REPRO_NO_CKERNEL=1``).
@@ -24,14 +25,16 @@ def both_backends_fixture(module_name: str):
     @pytest.fixture(autouse=True, params=["python", "c"])
     def _engine_backend(request, monkeypatch):
         if request.param == "c":
+            from repro.sim import backends
             from repro.sim.backends import c_build
-            from repro.sim.backends.c_backend import simulate_c
 
             ok, reason = c_build.availability()
             if not ok:
                 pytest.skip(f"c backend unavailable: {reason}")
             monkeypatch.setattr(
-                sys.modules[module_name], "simulate", simulate_c
+                sys.modules[module_name],
+                "simulate",
+                functools.partial(backends.simulate, backend="c"),
             )
         return request.param
 

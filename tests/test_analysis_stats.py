@@ -5,19 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stats import Replication, compare, replicate
+from repro.analysis.stats import summarize
 from repro.exceptions import AnalysisError
 
 
 class TestReplicate:
     def test_constant_measure(self):
-        rep = replicate(lambda s: 5.0, seeds=range(5))
+        rep = summarize([5.0] * 5)
         assert rep.mean == 5.0
         assert rep.std == 0.0
         assert rep.ci_low == rep.ci_high == 5.0
 
     def test_seed_is_passed_through(self):
-        rep = replicate(lambda s: float(s), seeds=[1, 2, 3])
+        rep = summarize([1.0, 2.0, 3.0])
         assert rep.values == (1.0, 2.0, 3.0)
         assert rep.mean == 2.0
 
@@ -27,53 +27,36 @@ class TestReplicate:
         def measure(seed: int) -> float:
             return float(np.random.default_rng(seed).normal(10.0, 2.0))
 
-        rep = replicate(measure, seeds=range(40), level=0.95)
+        rep = summarize([measure(s) for s in range(40)], level=0.95)
         assert rep.ci_low <= 10.0 <= rep.ci_high
 
     def test_ci_narrows_with_more_seeds(self):
         def measure(seed: int) -> float:
             return float(np.random.default_rng(seed).normal(0.0, 1.0))
 
-        narrow = replicate(measure, seeds=range(64))
-        wide = replicate(measure, seeds=range(8))
+        narrow = summarize([measure(s) for s in range(64)])
+        wide = summarize([measure(s) for s in range(8)])
         assert narrow.half_width < wide.half_width
 
     def test_level_controls_width(self):
         def measure(seed: int) -> float:
             return float(np.random.default_rng(seed).normal(0.0, 1.0))
 
-        c90 = replicate(measure, seeds=range(16), level=0.90)
-        c99 = replicate(measure, seeds=range(16), level=0.99)
+        c90 = summarize([measure(s) for s in range(16)], level=0.90)
+        c99 = summarize([measure(s) for s in range(16)], level=0.99)
         assert c99.half_width > c90.half_width
 
     def test_too_few_seeds(self):
         with pytest.raises(AnalysisError, match="at least 2"):
-            replicate(lambda s: 1.0, seeds=[0])
+            summarize([1.0])
 
     def test_unknown_level(self):
         with pytest.raises(AnalysisError, match="level"):
-            replicate(lambda s: 1.0, seeds=[0, 1], level=0.5)
+            summarize([1.0, 1.0], level=0.5)
 
     def test_str_rendering(self):
-        rep = replicate(lambda s: float(s), seeds=[0, 2])
+        rep = summarize([0.0, 2.0])
         assert "±" in str(rep)
-
-
-class TestCompare:
-    def _rep(self, lo: float, hi: float) -> Replication:
-        mid = (lo + hi) / 2
-        return Replication(
-            values=(lo, hi), mean=mid, std=0.0, ci_low=lo, ci_high=hi, level=0.95
-        )
-
-    def test_disjoint_a_lower(self):
-        assert compare(self._rep(0, 1), self._rep(2, 3)) == "a_lower"
-
-    def test_disjoint_b_lower(self):
-        assert compare(self._rep(2, 3), self._rep(0, 1)) == "b_lower"
-
-    def test_overlap_indistinguishable(self):
-        assert compare(self._rep(0, 2), self._rep(1, 3)) == "indistinguishable"
 
 
 class TestEndToEndReplication:
@@ -88,13 +71,12 @@ class TestEndToEndReplication:
 
         tree = kary_tree(2, 3)
 
-        def measure(policy_factory):
-            def run(seed: int) -> float:
-                instance = identical_instance(tree, 30, load=0.95, seed=seed)
-                return simulate(instance, policy_factory()).mean_flow_time()
+        def mean_flow(policy_factory, seed: int) -> float:
+            instance = identical_instance(tree, 30, load=0.95, seed=seed)
+            return simulate(instance, policy_factory()).mean_flow_time()
 
-            return run
-
-        greedy = replicate(measure(lambda: GreedyIdenticalAssignment(0.5)), range(8))
-        closest = replicate(measure(ClosestLeafAssignment), range(8))
-        assert compare(greedy, closest) == "a_lower"
+        greedy = summarize(
+            [mean_flow(lambda: GreedyIdenticalAssignment(0.5), s) for s in range(8)]
+        )
+        closest = summarize([mean_flow(ClosestLeafAssignment, s) for s in range(8)])
+        assert greedy.ci_high < closest.ci_low

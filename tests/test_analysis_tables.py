@@ -1,17 +1,15 @@
-"""Unit tests for the table renderer and ratio/sweep helpers."""
+"""Unit tests for the table renderer and ratio helpers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.ratios import competitive_report, lower_bound_for
-from repro.analysis.sweeps import run_policy_grid, speed_sweep
 from repro.analysis.tables import Table, fmt
-from repro.baselines.policies import ClosestLeafAssignment
 from repro.core.assignment import GreedyIdenticalAssignment
 from repro.exceptions import AnalysisError
 from repro.network.builders import star_of_paths
-from repro.sim.engine import fifo_priority, simulate, sjf_priority
+from repro.sim.engine import simulate
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job, JobSet
 
@@ -109,30 +107,3 @@ class TestRatios:
         res = simulate(instance, GreedyIdenticalAssignment(0.5))
         with pytest.raises(AnalysisError):
             competitive_report("g", instance, res, lower_bound=(0.0, "bad"))
-
-
-class TestSweeps:
-    def test_speed_sweep_monotone_tendency(self, instance):
-        reports = speed_sweep(
-            instance,
-            lambda: GreedyIdenticalAssignment(0.5),
-            [1.0, 2.0, 4.0],
-            prefer_lp=False,
-        )
-        assert len(reports) == 3
-        # More speed cannot hurt total flow for the same policy... SJF is
-        # not formally monotone, but on this tiny instance it is.
-        flows = [r.total_flow for r in reports]
-        assert flows[0] >= flows[-1]
-
-    def test_policy_grid_covers_combinations(self, instance):
-        reports = run_policy_grid(
-            instance,
-            {"greedy": lambda: GreedyIdenticalAssignment(0.5),
-             "closest": ClosestLeafAssignment},
-            priorities={"sjf": sjf_priority, "fifo": fifo_priority},
-        )
-        labels = {r.label for r in reports}
-        assert labels == {
-            "greedy/sjf", "closest/sjf", "greedy/fifo", "closest/fifo"
-        }

@@ -141,8 +141,8 @@ class TestFallback:
         assert len(result.records) == 160
 
     def test_c_record_segments_falls_back_to_python(self):
-        # The kernel never records segments; simulate_c hands the call
-        # to the python engine, which does.
+        # The kernel never records segments; backends.simulate hands the
+        # call to the python engine, which does.
         result = _run("c", record_segments=True)
         ref = _run("python", record_segments=True)
         assert result.segments

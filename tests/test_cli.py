@@ -120,6 +120,20 @@ class TestExperiments:
         out = capsys.readouterr().out
         assert "T1" in out and "F2" in out and "X1" in out
 
+    def test_list_summaries_come_from_each_experiment(self, capsys):
+        from repro.analysis.experiments import all_experiment_ids
+
+        assert main(["list-experiments"]) == 0
+        rows = {
+            cells[0]: cells[1]
+            for line in capsys.readouterr().out.splitlines()
+            if len(cells := [c.strip() for c in line.split("|")]) == 2
+            and cells[0] in all_experiment_ids()
+        }
+        assert set(rows) == set(all_experiment_ids())
+        assert rows["T1"] == "Experiment T1 — Theorem 1's shape: identical endpoints."
+        assert len(set(rows.values())) == len(rows) == 22
+
     def test_run_single_experiment(self, capsys):
         assert main(["experiment", "F2"]) == 0
         out = capsys.readouterr().out

@@ -211,6 +211,50 @@ class TestNumpyBackendRemoved:
         assert not any("numpy" in name.lower() for name in backends.__all__)
 
 
+class TestPreGridPathRemoved:
+    """The runner schedules, caches and registers trial grids only: the
+    whole-experiment path (``shard_trials=`` / ``--no-shard``) is gone
+    with no alias, and so are the pre-grid helpers no experiment, CLI
+    command or API function called (``repro.analysis.sweeps``,
+    ``replicate``, ``compare``) and the ``simulate_c`` wrapper
+    (``repro.sim.backends.simulate(backend="c")`` decides c or python)."""
+
+    def test_runner_rejects_shard_trials(self, tmp_path):
+        from repro.analysis.runner import run_experiments
+
+        with pytest.raises(TypeError):
+            run_experiments(["F1"], cache_dir=tmp_path, shard_trials=False)
+
+    def test_api_rejects_shard_trials(self, tmp_path):
+        with pytest.raises(TypeError):
+            api.run_experiments(exp_ids=["F1"], cache_dir=tmp_path, shard_trials=True)
+
+    def test_cli_flag_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "F1", "--no-shard"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-shard" in capsys.readouterr().err
+
+    def test_sweeps_module_import_raises(self):
+        with pytest.raises(ImportError):
+            import repro.analysis.sweeps  # noqa: F401
+
+    def test_helpers_absent(self):
+        import repro.analysis as analysis
+        from repro.analysis import stats
+        from repro.sim import backends
+        from repro.sim.backends import c_backend
+
+        for name in ("speed_sweep", "run_policy_grid", "replicate", "compare"):
+            assert not hasattr(analysis, name) and name not in analysis.__all__
+        assert not {"replicate", "compare"} & set(dir(stats))
+        for module in (backends, c_backend):
+            assert not hasattr(module, "simulate_c")
+            assert "simulate_c" not in module.__all__
+
+
 def test_modern_surface_is_warning_free(tmp_path):
     """The blessed call forms never trip a DeprecationWarning."""
     with warnings.catch_warnings():

@@ -86,13 +86,18 @@ def test_every_experiment_has_a_benchmark():
 
 
 def test_duplicate_registration_rejected():
-    from repro.analysis.experiments.base import register
+    from repro.analysis.experiments.grid import register_grid
 
+    grid = get_experiment("F2")
     with pytest.raises(AnalysisError, match="duplicate"):
-
-        @register("F2")
-        def clash():  # pragma: no cover
-            raise AssertionError
+        register_grid(
+            "F2",
+            defaults=grid.defaults,
+            trials=grid.trials,
+            run_trial=grid.run_trial,
+            reduce=grid.reduce,
+        )
+    assert get_experiment("F2") is grid
 
 
 @pytest.mark.parametrize(
@@ -115,10 +120,9 @@ def test_lemma_audit_counts_pinned(exp_id, payload):
     from repro.analysis.experiments.grid import (
         enumerate_trials,
         execute_trial,
-        get_grid,
         merge_params,
     )
 
-    grid = get_grid(exp_id)
+    grid = get_experiment(exp_id)
     (spec,) = enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
     assert execute_trial(grid, spec) == payload

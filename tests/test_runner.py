@@ -11,7 +11,6 @@ from repro.analysis.runner import (
     RunnerOutcome,
     aggregate_counters,
     cache_key,
-    cache_path,
     clear_cache,
     manifest_path,
     run_experiments,
@@ -73,67 +72,83 @@ class TestCacheRoundTrip:
     # b"garbage\n" -> ValueError (the GET opcode expects an int line).
     @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
     def test_corrupt_entry_is_a_miss(self, tmp_path, junk):
-        first = run_experiments(["F1"], cache_dir=tmp_path)[0]
-        cache_path(tmp_path, first.key).write_bytes(junk)
-        # the experiment entry is gone but every trial entry survives, so
-        # the re-run is a trial-cache replay (still reported as cached)
-        again = run_experiments(["F1"], cache_dir=tmp_path)[0]
-        assert again.cached
-        assert again.trials_cached == again.trials_total == first.trials_total
-        assert same_payload(first.result, again.result)
-        # and the repaired experiment entry is served on the next read
-        assert run_experiments(["F1"], cache_dir=tmp_path)[0].cached
-        # with the trial cache wiped too, the run is an honest recompute
-        cache_path(tmp_path, first.key).write_bytes(junk)
-        for entry in (tmp_path / "trials").glob("*.pkl"):
+        first = run_experiments(FAST_IDS, cache_dir=tmp_path)
+        entries = sorted((tmp_path / "trials").glob("*.pkl"))
+        entries[0].write_bytes(junk)
+        # one unreadable trial entry: that trial recomputes, the rest replay
+        again = run_experiments(FAST_IDS, cache_dir=tmp_path)
+        assert sum(o.trials_total - o.trials_cached for o in again) == 1
+        for a, b in zip(first, again):
+            assert same_payload(a.result, b.result)
+        # and the repaired entry is served on the next read
+        assert all(o.cached for o in run_experiments(FAST_IDS, cache_dir=tmp_path))
+        # with every trial entry unreadable, the run is an honest recompute
+        for entry in entries:
             entry.write_bytes(junk)
-        cold = run_experiments(["F1"], cache_dir=tmp_path)[0]
-        assert not cold.cached and cold.trials_cached == 0
-        assert same_payload(first.result, cold.result)
+        cold = run_experiments(FAST_IDS, cache_dir=tmp_path)
+        assert all(not o.cached and o.trials_cached == 0 for o in cold)
+        for a, b in zip(first, cold):
+            assert same_payload(a.result, b.result)
 
     def test_clear_cache(self, tmp_path):
-        run_experiments(FAST_IDS, cache_dir=tmp_path)
-        # one experiment entry each plus one entry per trial
-        assert clear_cache(tmp_path) > len(FAST_IDS)
+        outcomes = run_experiments(FAST_IDS, cache_dir=tmp_path)
+        # one entry per trial, and no experiment-level entries beside them
+        assert clear_cache(tmp_path) == sum(o.trials_total for o in outcomes)
+        assert list(tmp_path.glob("*.pkl")) == []
         assert clear_cache(tmp_path) == 0
         assert clear_cache(tmp_path / "missing") == 0
+
+
+def test_unknown_id_rejected_before_any_trial_runs(tmp_path, monkeypatch):
+    from repro.analysis import runner
+    from repro.exceptions import AnalysisError
+
+    ran = []
+    monkeypatch.setattr(
+        runner, "_execute_trial", lambda *args: ran.append(args) or (None, None, 0.0)
+    )
+    with pytest.raises(AnalysisError, match="unknown experiment 'ZZ'"):
+        run_experiments(["F1", "ZZ"], cache_dir=tmp_path)
+    assert ran == []
+    assert list(tmp_path.rglob("*")) == []
 
 
 class TestParallelIdentity:
     def test_full_registry_parallel_matches_serial(self, tmp_path):
         """Acceptance: --parallel 4 over the whole registry is
-        bit-identical to the serial run (reduced-size parameters keep
-        tier-1 fast; every experiment id is exercised).  S1 is the one
-        experiment whose *output is itself a wall-clock measurement*
+        bit-identical to the serial in-process reference
+        (``run_experiment``), cold and warm (reduced-size parameters
+        keep tier-1 fast; every experiment id is exercised).  S1 is the
+        one experiment whose *output is itself a wall-clock measurement*
         (events/second); for it only the deterministic columns can be
         compared.
         """
+        from repro.analysis.experiments import all_experiment_ids, run_experiment
         from tests.test_experiments import QUICK_PARAMS
 
-        serial = run_experiments(
-            None,
-            params_by_id=QUICK_PARAMS,
-            parallel=1,
-            cache_dir=tmp_path / "serial",
-            shard_trials=False,  # the pre-grid whole-experiment path
-        )
+        ids = all_experiment_ids()
+        serial = [run_experiment(eid, **QUICK_PARAMS[eid]) for eid in ids]
         parallel = run_experiments(
             None,
             params_by_id=QUICK_PARAMS,
             parallel=4,
-            cache_dir=tmp_path / "parallel",
+            cache_dir=tmp_path,
         )
-        assert [o.exp_id for o in serial] == [o.exp_id for o in parallel]
-        for s, p in zip(serial, parallel):
-            assert not s.cached and not p.cached
-            assert s.key == p.key
-            if s.exp_id == "S1":
-                assert s.result.passed == p.result.passed
-                assert s.result.table.columns == p.result.table.columns
+        warm = run_experiments(
+            None, params_by_id=QUICK_PARAMS, parallel=4, cache_dir=tmp_path
+        )
+        assert [o.exp_id for o in parallel] == [o.exp_id for o in warm] == ids
+        for eid, s, p, w in zip(ids, serial, parallel, warm):
+            assert not p.cached and w.cached
+            assert p.key == w.key == cache_key(eid, QUICK_PARAMS[eid])
+            assert same_payload(p.result, w.result), f"{eid} warm diverged"
+            if eid == "S1":
+                assert s.passed == p.result.passed
+                assert s.table.columns == p.result.table.columns
                 for col in ("n_jobs", "tree_nodes", "events"):
-                    assert s.result.table.column(col) == p.result.table.column(col)
+                    assert s.table.column(col) == p.result.table.column(col)
             else:
-                assert same_payload(s.result, p.result), f"{s.exp_id} diverged"
+                assert same_payload(s, p.result), f"{eid} diverged"
 
     def test_warm_cache_is_fast(self, tmp_path):
         """Acceptance: a warm-cache re-run completes in under 25% of the
@@ -180,41 +195,36 @@ class TestManifests:
             assert isinstance(trial["params"], dict)
         assert len({t["trial_id"] for t in doc["trials"]}) == len(doc["trials"])
 
-    def test_experiment_cache_hit_has_no_trial_rows(self, tmp_path):
+    def test_warm_manifest_lists_every_trial_cached(self, tmp_path):
         mdir = tmp_path / "manifests"
-        run_experiments(["F1"], cache_dir=tmp_path / "cache")
+        cold = run_experiments(["F2"], cache_dir=tmp_path / "cache")[0]
         warm = run_experiments(
-            ["F1"], cache_dir=tmp_path / "cache", manifest_dir=mdir
+            ["F2"], cache_dir=tmp_path / "cache", manifest_dir=mdir
         )[0]
         assert warm.cached
-        doc = self._load(mdir, "F1")
+        doc = self._load(mdir, "F2")
         assert doc["cached"]
-        # resolved from the experiment entry: nothing finer to report
-        assert doc["trials"] == []
+        # replayed trial by trial: every trial is listed, each a hit
+        assert len(doc["trials"]) == doc["trials_total"] == cold.trials_total > 1
+        assert doc["trials_cached"] == doc["trials_total"]
+        assert all(t["cached"] for t in doc["trials"])
 
     def test_trial_cache_replay_marks_trials_cached(self, tmp_path):
+        from repro.analysis.runner import trial_cache_path
+
         cache = tmp_path / "cache"
         mdir = tmp_path / "manifests"
-        first = run_experiments(["F1"], cache_dir=cache)[0]
-        # drop the experiment entry, keep the trial entries: the re-run
-        # replays trial-by-trial and the manifest shows every hit
-        cache_path(cache, first.key).unlink()
-        run_experiments(["F1"], cache_dir=cache, manifest_dir=mdir)
-        doc = self._load(mdir, "F1")
-        assert doc["trials"] and all(t["cached"] for t in doc["trials"])
-        assert doc["trials_cached"] == len(doc["trials"])
-
-    def test_whole_experiment_path_has_no_trial_rows(self, tmp_path):
-        mdir = tmp_path / "manifests"
-        run_experiments(
-            ["F1"],
-            cache_dir=tmp_path / "cache",
-            shard_trials=False,
-            manifest_dir=mdir,
-        )
-        doc = self._load(mdir, "F1")
-        assert doc["schema"] == MANIFEST_SCHEMA
-        assert doc["trials"] == []
+        run_experiments(["F2"], cache_dir=cache, manifest_dir=mdir)
+        dropped = self._load(mdir, "F2")["trials"][0]["cache_key"]
+        trial_cache_path(cache, dropped).unlink()
+        # the re-run replays every surviving trial and recomputes the one
+        # dropped; the manifest marks each accordingly
+        run_experiments(["F2"], cache_dir=cache, manifest_dir=mdir)
+        doc = self._load(mdir, "F2")
+        assert not doc["cached"]
+        assert doc["trials_cached"] == len(doc["trials"]) - 1
+        for trial in doc["trials"]:
+            assert trial["cached"] == (trial["cache_key"] != dropped)
 
     def test_manifest_is_derived_not_consulted(self, tmp_path):
         """Deleting manifests never changes results or cache behaviour."""

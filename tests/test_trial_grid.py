@@ -1,8 +1,8 @@
 """Tests for the declarative trial grids and their sharded execution.
 
 The contract under test: every registry experiment is a grid of pure,
-individually cacheable trials whose serial composition (the derived
-``run()``) and sharded recomposition (the runner's trial path) produce
+individually cacheable trials whose serial composition
+(``run_experiment``) and sharded recomposition (the runner) produce
 bit-identical :class:`ExperimentResult` payloads.
 """
 
@@ -12,18 +12,21 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import all_experiment_ids, run_experiment
+from repro.analysis.experiments import (
+    all_experiment_ids,
+    get_experiment,
+    run_experiment,
+)
 from repro.analysis.experiments.grid import (
+    GridExperiment,
     TrialSpec,
-    all_grid_ids,
     enumerate_trials,
     execute_trial,
-    get_grid,
     merge_params,
     trial_digest,
     trial_seed,
 )
-from repro.analysis.runner import run_experiments, trial_cache_path
+from repro.analysis.runner import run_experiments, trial_cache_key, trial_cache_path
 from repro.exceptions import AnalysisError
 from tests.test_experiments import QUICK_PARAMS
 from tests.test_runner import same_payload
@@ -33,7 +36,15 @@ FAST_GRID_IDS = ["F1", "F2", "L2", "X3"]
 
 
 def test_every_registry_experiment_is_a_grid():
-    assert all_grid_ids() == all_experiment_ids()
+    """Every id resolves to its grid, whose pieces live in the
+    experiment's own module (``list-experiments`` reads its summary
+    there)."""
+    for exp_id in all_experiment_ids():
+        grid = get_experiment(exp_id)
+        assert isinstance(grid, GridExperiment) and grid.exp_id == exp_id
+        module = f"repro.analysis.experiments.{exp_id.lower()}"
+        for piece in (grid.trials, grid.run_trial, grid.reduce):
+            assert piece.__module__ == module, (exp_id, piece)
 
 
 @pytest.mark.parametrize("exp_id", sorted(QUICK_PARAMS))
@@ -41,7 +52,7 @@ def test_specs_are_unique_and_json_able(exp_id):
     """Trial ids are unique within a grid and params are plain data —
     the whole spec must survive a JSON round-trip (the cache key and the
     RNG digest both hash its canonical JSON)."""
-    grid = get_grid(exp_id)
+    grid = get_experiment(exp_id)
     specs = enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
     assert specs, exp_id
     seen = set()
@@ -55,7 +66,7 @@ def test_specs_are_unique_and_json_able(exp_id):
 
 @pytest.mark.parametrize("exp_id", sorted(QUICK_PARAMS))
 def test_digests_distinct_within_grid(exp_id):
-    grid = get_grid(exp_id)
+    grid = get_experiment(exp_id)
     specs = enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
     digests = [trial_digest(spec) for spec in specs]
     assert len(set(digests)) == len(digests)
@@ -65,13 +76,13 @@ def test_digests_distinct_within_grid(exp_id):
 
 
 def test_unknown_param_rejected():
-    grid = get_grid("F1")
+    grid = get_experiment("F1")
     with pytest.raises(AnalysisError, match="unknown parameter"):
         merge_params(grid, {"no_such_param": 1})
 
 
 def test_duplicate_trial_id_rejected():
-    grid = get_grid("F1")
+    grid = get_experiment("F1")
     bad = type(grid)(
         exp_id="F1",
         defaults=grid.defaults,
@@ -87,7 +98,7 @@ def test_duplicate_trial_id_rejected():
 def test_trial_reexecution_is_bit_identical(exp_id):
     """A trial reruns to the same payload even after other trials have
     perturbed the global RNG state (the digest reseed at work)."""
-    grid = get_grid(exp_id)
+    grid = get_experiment(exp_id)
     specs = enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
     first = [execute_trial(grid, spec) for spec in specs]
     again = [execute_trial(grid, spec) for spec in reversed(specs)]
@@ -101,12 +112,10 @@ def test_sharded_runner_matches_direct_run(exp_id, tmp_path):
         [exp_id],
         params_by_id={exp_id: QUICK_PARAMS[exp_id]},
         cache_dir=tmp_path,
-        shard_trials=True,
     )[0]
+    grid = get_experiment(exp_id)
     assert sharded.trials_total == len(
-        enumerate_trials(
-            get_grid(exp_id), merge_params(get_grid(exp_id), QUICK_PARAMS[exp_id])
-        )
+        enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
     )
     assert same_payload(direct, sharded.result)
 
@@ -129,18 +138,12 @@ def test_partial_rerun_reuses_trial_cache(tmp_path):
 
 def test_corrupt_trial_entry_is_a_miss(tmp_path):
     first = run_experiments(["F1"], cache_dir=tmp_path)[0]
-    grid = get_grid("F1")
+    grid = get_experiment("F1")
     (spec,) = enumerate_trials(grid, merge_params(grid, {}))
-    from repro.analysis.runner import trial_cache_key
-
     tkey = trial_cache_key("F1", spec.trial_id, spec.params)
     path = trial_cache_path(tmp_path, tkey)
     assert path.is_file()
     path.write_bytes(b"junk")
-    # experiment-level entry still hits; drop it to force the trial path
-    from repro.analysis.runner import cache_path
-
-    cache_path(tmp_path, first.key).unlink()
     again = run_experiments(["F1"], cache_dir=tmp_path)[0]
     assert (again.trials_total, again.trials_cached) == (1, 0)
     assert same_payload(first.result, again.result)
