@@ -24,8 +24,6 @@ import heapq
 import math
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.exceptions import LPError
 from repro.workload.instance import Instance
 
@@ -118,9 +116,3 @@ def best_lower_bound(instance: Instance) -> tuple[float, str]:
     }
     name = max(candidates, key=lambda k: candidates[k])
     return candidates[name], name
-
-
-def stretch_lower_bounds(instance: Instance) -> np.ndarray:
-    """Per-job flow-time lower bounds (``min_v P_{v,j}``) in release
-    order, for stretch-style normalisation."""
-    return np.array([instance.min_path_volume(job) for job in instance.jobs])

@@ -27,9 +27,13 @@ the contract:
   when the schedule is non-empty), allocate every output buffer, and
   hand the kernel one pointer-table struct (:class:`_KernelArgs`,
   field-for-field the C ``KernelArgs``).
-* **Assemble** — turn the output columns back into a
-  :class:`~repro.sim.result.SimulationResult`, with the per-job flow
-  integrals summed in arrival order.
+* **Assemble** — derive the result's five summary columns and both
+  flow integrals (sequential prefix sums over the jobs in arrival order)
+  from the output buffers with a few numpy operations, and hand the
+  rest of the buffers, named in a :class:`~repro.sim.result.KernelRows`,
+  to :class:`~repro.sim.result.JobRecords`, which builds the
+  :class:`~repro.sim.result.JobRecord` objects in one pass only when a
+  record is first read.
 
 Parity with the python engine's records is exact (``==``), not
 tolerance-based: the kernel replays the same float ops in the same
@@ -61,7 +65,7 @@ from repro.baselines.policies import (
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
 from repro.sim.backends import c_build
 from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
-from repro.sim.result import JobRecord, SimulationResult
+from repro.sim.result import JobRecords, KernelRows, SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
 from repro.workload.events import Cancel, NodeDown, NodeUp
@@ -564,12 +568,13 @@ class CEngine:
         max_path = int(path_len.max())
 
         out_path_id = np.zeros(n, dtype=np.int32)
-        out_avail = np.zeros(n * max_path, dtype=np.float64)
+        out_avail = np.zeros((n, max_path), dtype=np.float64)
         out_avail_cnt = np.zeros(n, dtype=np.int32)
-        out_comp = np.zeros(n * max_path, dtype=np.float64)
+        out_comp = np.zeros((n, max_path), dtype=np.float64)
         out_comp_cnt = np.zeros(n, dtype=np.int32)
         out_deficit = np.zeros(n, dtype=np.float64)
-        out_cancel = np.full(n, np.nan) if ev_cols else None
+        # NaN marks a job no cancel withdrew.
+        out_cancel = np.full(n, np.nan)
         out_num_events = np.zeros(1, dtype=np.int64)
         if kind == 0:
             # Every path was chosen statically; echo them so result
@@ -650,63 +655,45 @@ class CEngine:
         if status != 0:
             raise SimulationError(f"engine kernel failed with status {status}")
 
-        # Per-job exact integrals, summed in arrival order.  Every output
-        # column drops to plain python lists up front (tolist converts
-        # exactly), so the loop slices lists and touches no numpy scalars.
-        frac = 0.0
-        alive_integral = 0.0
-        records: dict[int, JobRecord] = {}
-        unfinished: list[int] = []
-        paths = self._paths
-        pid_l = out_path_id.tolist()
-        avail_rows = out_avail.reshape(n, max_path).tolist()
-        comp_rows = out_comp.reshape(n, max_path).tolist()
-        avail_cnt = out_avail_cnt.tolist()
-        comp_cnt = out_comp_cnt.tolist()
-        deficit_l = out_deficit.tolist()
-        # NaN (``c != c``) marks a job no cancel withdrew.
-        cancel_l = (
-            [None if c != c else c for c in out_cancel.tolist()]
-            if ev_cols
-            else [None] * n
+        # The summary columns, in arrival order.  The id and release
+        # columns are the engine's own inputs, which nothing writes after
+        # planning; the result marks every column read-only.
+        ids, rel = self._ids_a, self._rel_a
+        hops = path_len[out_path_id]
+        completion = np.where(
+            out_comp_cnt == hops, out_comp[np.arange(n), hops - 1], np.nan
         )
-        for i, job in enumerate(jobs):
-            path_ids = paths[pid_l[i]]
-            # A full row is the record's list as is (no copy allocated).
-            comp = comp_rows[i]
-            if comp_cnt[i] < max_path:
-                comp = comp[: comp_cnt[i]]
-            avail = avail_rows[i]
-            if avail_cnt[i] < max_path:
-                avail = avail[: avail_cnt[i]]
-            ct = cancel_l[i]
-            records[job.id] = JobRecord(
-                job.id, job.release, path_ids[-1], path_ids, avail, comp, ct,
-                job.size_estimate,
+        # Truncated model: a cancelled job contributes its flow up to the
+        # cancel instant, fractional deficit included.
+        end = np.where(np.isnan(out_cancel), completion, out_cancel)
+        unfinished = np.isnan(end)
+        # SimulationResult.verify_complete's check, on the kernel's rows.
+        if unfinished.any():
+            raise SimulationError(
+                f"jobs did not complete: {ids[unfinished][:10].tolist()}"
             )
-            if ct is not None:
-                # Truncated model: a cancelled job contributes its flow
-                # up to the cancel instant, fractional deficit included.
-                flow = ct - job.release
-            elif len(comp) == len(path_ids):
-                flow = comp[-1] - job.release
-            else:
-                unfinished.append(job.id)
-                continue
-            alive_integral += flow
-            frac += flow - deficit_l[i]
-        # SimulationResult.verify_complete's check, from the loop's tally.
-        if unfinished:
-            raise SimulationError(f"jobs did not complete: {unfinished[:10]}")
+        # Per-job exact integrals as sequential prefix sums in arrival
+        # order (np.sum would add pairwise and move the last bits).
+        flow = end - rel
+        alive_integral = float(np.cumsum(flow)[-1])
+        frac = float(np.cumsum(flow - out_deficit)[-1])
 
+        leaves = np.array([p[-1] for p in self._paths], dtype=np.int64)[out_path_id]
+        rows = KernelRows(
+            jobs=jobs, paths=self._paths, path_id=out_path_id, leaf=leaves,
+            avail=out_avail, avail_cnt=out_avail_cnt, comp=out_comp,
+            comp_cnt=out_comp_cnt, cancel=out_cancel,
+        )
         return SimulationResult(
             instance=self.instance,
             speeds=self.speeds,
-            records=records,
+            records=JobRecords(ids, rows=rows),
+            job_ids=ids,
+            releases=rel,
+            leaves=leaves,
+            completion_times=completion,
+            cancel_times=out_cancel,
             fractional_flow=frac,
             alive_integral=alive_integral,
             num_events=int(out_num_events[0]),
-            segments=None,
-            counters=None,
-            trace=None,
         )

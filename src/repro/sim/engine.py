@@ -1305,10 +1305,10 @@ class Engine:
             aggregate = global_counters()
             if aggregate is not None and aggregate is not counters:
                 aggregate.merge(counters)
-        result = SimulationResult(
+        result = SimulationResult.from_records(
+            {jid: st.record for jid, st in self._states.items()},
             instance=self.instance,
             speeds=self.speeds,
-            records={jid: st.record for jid, st in self._states.items()},
             fractional_flow=self._frac_integral,
             alive_integral=self._alive_integral,
             num_events=self._num_events,

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.exceptions import AnalysisError
 from repro.sim.result import JobRecord, SimulationResult
 from repro.workload.instance import Setting
@@ -134,8 +132,3 @@ def waiting_decomposition(result: SimulationResult, job_id: int) -> WaitingBreak
     if len(rec.path) == 1:  # leaf adjacent to root (only in permissive tests)
         return WaitingBreakdown(at_top=at_top, interior=0.0, at_leaf=0.0)
     return WaitingBreakdown(at_top=at_top, interior=max(interior, 0.0), at_leaf=at_leaf)
-
-
-def flow_time_array(result: SimulationResult) -> np.ndarray:
-    """Per-job flow times as an array, in job-id order."""
-    return result.flow_times()

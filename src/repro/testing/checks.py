@@ -25,11 +25,12 @@ hierarchy (``docs/testing.md``) and returns the failures:
    :mod:`repro.testing.metamorphic`.
 8. **backends** (opt-in: ``repro fuzz --backends``) — the compiled
    kernel (:mod:`repro.sim.backends.c_backend`) must replay the case
-   with the identical assignment and cancellations, and per-hop times
-   within ``SCHEDULE_TOL`` of the reference engine — a third
-   independent implementation in the differential battery.  Cases the
-   kernel's planner declines, and hosts without a C compiler, skip it;
-   a ``plans`` tally passed to :func:`run_checks` counts which.
+   with the identical assignment and cancellations, per-hop times,
+   records and total flow time, all exactly ``==`` to the reference
+   engine's — a third independent implementation in the differential
+   battery.  Cases the kernel's planner declines, and hosts without a
+   C compiler, skip it; a ``plans`` tally passed to :func:`run_checks`
+   counts which.
 
 Every failure carries the check name, so the shrinker can preserve *the
 same* failure while minimising (``repro.testing.shrink``).
@@ -347,12 +348,13 @@ def _check_backends(
 ) -> tuple[str, list[CheckFailure]]:
     """Differential replay on the compiled kernel.
 
-    The kernel promises bit-identical scheduling *decisions*, so the bar
-    is strict: the same leaf assignment, the same cancellations and,
-    per job, the same sequence of per-hop completion / hand-off times
-    within ``SCHEDULE_TOL`` (in practice they are bit-equal; the
-    tolerance only absorbs any future change to float summation order
-    inside the kernel).
+    The kernel promises a bit-identical schedule, so the bar is exact
+    ``==``: the same leaf assignment, the same cancellations and, per
+    job, the same per-hop completion / hand-off times; then the whole
+    record mapping (``alt.records == base.records``, which also covers
+    release, path and size estimate, and reads every lazily built c
+    record) and ``total_flow_time()`` (read off the c result's summary
+    columns, not its records).
 
     ``num_events`` is deliberately *not* compared: on tie-heavy cases
     two hop completions on adjacent nodes can land on the same instant,
@@ -367,7 +369,6 @@ def _check_backends(
     """
     from repro.sim.backends import c_build
     from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
-    from repro.sim.tolerances import SCHEDULE_TOL
 
     if not c_build.availability()[0]:
         return "unavailable", []
@@ -420,15 +421,30 @@ def _check_backends(
             ("completed_at", rec.completed_at, got.completed_at),
             ("available_at", rec.available_at, got.available_at),
         ):
-            if len(ours) != len(theirs) or any(
-                abs(x - y) > SCHEDULE_TOL for x, y in zip(ours, theirs)
-            ):
+            if ours != theirs:
                 failures.append(
                     CheckFailure(
                         "backends",
                         f"job {jid}: {label} engine {ours!r}, c {theirs!r}",
                     )
                 )
+    if not failures and alt.records != base.records:
+        differ = sorted(
+            j
+            for j in set(base.records) | set(alt.records)
+            if base.records.get(j) != alt.records.get(j)
+        )
+        failures.append(
+            CheckFailure("backends", f"records differ (engine, c): jobs {differ[:10]}")
+        )
+    base_total, alt_total = base.total_flow_time(), alt.total_flow_time()
+    if base_total != alt_total:
+        failures.append(
+            CheckFailure(
+                "backends",
+                f"total_flow_time engine {base_total!r}, c {alt_total!r}",
+            )
+        )
     return "planned", failures
 
 

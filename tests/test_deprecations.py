@@ -255,6 +255,28 @@ class TestPreGridPathRemoved:
             assert "simulate_c" not in module.__all__
 
 
+class TestDeadHelpersRemoved:
+    """Two helpers nothing called are gone with no alias:
+    ``repro.sim.metrics.flow_time_array`` (``result.flow_times()`` is
+    the same array) and ``repro.lp.bounds.stretch_lower_bounds``."""
+
+    def test_flow_time_array_absent(self):
+        from repro.sim import metrics
+
+        assert not hasattr(metrics, "flow_time_array")
+        assert "flow_time_array" not in metrics.__all__
+        result = simulate(_instance(), _policy())
+        assert result.flow_times().shape == (len(result.records),)
+
+    def test_stretch_lower_bounds_absent(self):
+        import repro.lp as lp
+        from repro.lp import bounds
+
+        assert not hasattr(bounds, "stretch_lower_bounds")
+        assert "stretch_lower_bounds" not in bounds.__all__
+        assert not hasattr(lp, "stretch_lower_bounds")
+
+
 def test_modern_surface_is_warning_free(tmp_path):
     """The blessed call forms never trip a DeprecationWarning."""
     with warnings.catch_warnings():

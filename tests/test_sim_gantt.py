@@ -95,10 +95,10 @@ class TestSubCellSegments:
         instance = Instance(
             tree, JobSet([Job(id=7, release=0.0, size=1.0)]), Setting.IDENTICAL
         )
-        return SimulationResult(
+        return SimulationResult.from_records(
+            {},
             instance=instance,
             speeds=SpeedProfile.uniform(1.0),
-            records={},
             fractional_flow=0.0,
             alive_integral=0.0,
             num_events=0,
