@@ -58,7 +58,8 @@ def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.experiments.workloads import identical_instance
     from repro.api import _resolve_policy
     from repro.network.builders import datacenter_tree
-    from repro.sim.engine import fifo_priority, simulate, sjf_priority
+    from repro.sim.backends import simulate
+    from repro.sim.engine import fifo_priority, sjf_priority
     from repro.sim.speed import SpeedProfile
 
     q = spec.params

@@ -98,7 +98,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 
 def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.norms import flow_norm_summary
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
 
     q = spec.params

@@ -46,7 +46,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.experiments.workloads import burst_instance
     from repro.core.assignment import GreedyIdenticalAssignment
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.metrics import normalized_interior_delay
     from repro.sim.speed import SpeedProfile
 

@@ -55,7 +55,8 @@ def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.norms import flow_lk_norm, flow_norm_summary
     from repro.core.assignment import FixedAssignment
     from repro.network.builders import spine_tree
-    from repro.sim.engine import fifo_priority, simulate, sjf_priority
+    from repro.sim.backends import simulate
+    from repro.sim.engine import fifo_priority, sjf_priority
     from repro.sim.speed import SpeedProfile
     from repro.workload.arrivals import deterministic_arrivals
     from repro.workload.instance import Instance, Setting

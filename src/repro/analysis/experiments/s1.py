@@ -42,7 +42,7 @@ def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.experiments.workloads import identical_instance
     from repro.core.assignment import GreedyIdenticalAssignment
     from repro.network.builders import datacenter_tree
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
 
     q = spec.params

@@ -70,7 +70,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 def _run_trial(spec: TrialSpec) -> float:
     from repro.baselines.policies import ClosestLeafAssignment
     from repro.core.scheduler import run_paper_algorithm
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
 
     q = spec.params

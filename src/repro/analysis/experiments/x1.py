@@ -69,7 +69,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 
 def _run_trial(spec: TrialSpec) -> dict:
     from repro.core.assignment import GreedyIdenticalAssignment
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
     from repro.workload.chunking import (
         ChunkedAssignment,

@@ -56,7 +56,7 @@ def _run_trial(spec: TrialSpec) -> dict:
 
     from repro.core.assignment import GreedyIdenticalAssignment
     from repro.network.builders import datacenter_tree
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
     from repro.workload.arrivals import poisson_arrivals
     from repro.workload.instance import Instance, Setting

@@ -82,7 +82,7 @@ def _trials(p: dict) -> list[TrialSpec]:
 
 def _run_trial(spec: TrialSpec) -> dict:
     from repro.analysis.experiments.workloads import identical_instance
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
 
     q = spec.params

@@ -96,7 +96,7 @@ def _run_trial(spec: TrialSpec) -> dict:
     from repro.api import _resolve_policy
     from repro.analysis.ratios import lower_bound_for
     from repro.network.builders import datacenter_tree
-    from repro.sim.engine import simulate
+    from repro.sim.backends import simulate
     from repro.sim.speed import SpeedProfile
     from repro.workload.instance import Instance
 

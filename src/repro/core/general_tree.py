@@ -28,7 +28,7 @@ from repro.core.assignment import (
     GreedyUnrelatedAssignment,
 )
 from repro.network.broomstick import BroomstickReduction, reduce_to_broomstick
-from repro.sim.engine import Engine, sjf_priority
+from repro.sim.engine import sjf_priority
 from repro.sim.result import SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.workload.instance import Instance, Setting
@@ -105,30 +105,32 @@ class GeneralTreeScheduler:
         record_segments: bool = False,
         check_invariants: bool = False,
     ) -> GeneralTreeRun:
-        """Run the shadow on ``T'``, then ``A_T`` on ``T``."""
-        shadow_instance = self.instance.on_broomstick(self.reduction)
-        shadow = Engine(
-            shadow_instance,
+        """Run the shadow on ``T'``, then ``A_T`` on ``T``, both on the
+        backend ``REPRO_BACKEND`` selects."""
+        from repro.sim.backends import simulate
+
+        shadow = simulate(
+            self.instance.on_broomstick(self.reduction),
             self._shadow_policy(),
-            self.speeds,
+            speeds=self.speeds,
             priority=sjf_priority,
             record_segments=record_segments,
             check_invariants=check_invariants,
-        ).run()
+        )
 
         inverse = self.reduction.inverse_leaf_map
         mapping = {
             job_id: inverse[leaf_prime]
             for job_id, leaf_prime in shadow.assignment().items()
         }
-        result = Engine(
+        result = simulate(
             self.instance,
             FixedAssignment(mapping),
-            self.speeds,
+            speeds=self.speeds,
             priority=sjf_priority,
             record_segments=record_segments,
             check_invariants=check_invariants,
-        ).run()
+        )
         return GeneralTreeRun(result=result, shadow_result=shadow, reduction=self.reduction)
 
 

@@ -14,7 +14,7 @@ from repro.core.assignment import (
 )
 from repro.core.general_tree import run_general_tree
 from repro.exceptions import SimulationError
-from repro.sim.engine import Engine, sjf_priority
+from repro.sim.engine import sjf_priority
 from repro.sim.result import SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.workload.instance import Instance, Setting
@@ -47,20 +47,23 @@ def run_broomstick_algorithm(
     """Run the broomstick algorithm of Sections 3.4–3.6 directly.
 
     Requires the instance's tree to be a broomstick; for general trees
-    use :func:`run_paper_algorithm`.
+    use :func:`run_paper_algorithm`.  Runs on the backend
+    ``REPRO_BACKEND`` selects (:func:`repro.sim.backends.simulate`).
     """
+    from repro.sim.backends import simulate
+
     if not instance.tree.is_broomstick():
         raise SimulationError(
             "tree is not a broomstick; use run_paper_algorithm for general trees"
         )
-    return Engine(
+    return simulate(
         instance,
         _greedy_policy(instance, eps),
-        speeds or default_speeds(instance, eps),
+        speeds=speeds or default_speeds(instance, eps),
         priority=sjf_priority,
         record_segments=record_segments,
         check_invariants=check_invariants,
-    ).run()
+    )
 
 
 def run_paper_algorithm(

@@ -547,17 +547,6 @@ class TraceRecorder(EngineSink):
             )
         self._last_sample_t = at
 
-    @property
-    def record_count(self) -> int:
-        """Raw records collected so far (points + spans + gauges +
-        dynamic events)."""
-        return (
-            len(self._points)
-            + len(self._service)
-            + len(self._gauges)
-            + len(self._events)
-        )
-
     # -- assembly -------------------------------------------------------
     def build(self, final_time: float) -> SimulationTrace:
         """Assemble the :class:`SimulationTrace` (idempotent)."""

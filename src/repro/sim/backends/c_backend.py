@@ -65,7 +65,7 @@ from repro.baselines.policies import (
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
 from repro.sim.backends import c_build
 from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
-from repro.sim.result import JobRecords, KernelRows, SimulationResult
+from repro.sim.result import JobRecords, KernelRows, SimulationResult, flow_integrals
 from repro.sim.speed import SpeedProfile
 from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
 from repro.workload.events import Cancel, NodeDown, NodeUp
@@ -663,20 +663,16 @@ class CEngine:
         completion = np.where(
             out_comp_cnt == hops, out_comp[np.arange(n), hops - 1], np.nan
         )
-        # Truncated model: a cancelled job contributes its flow up to the
-        # cancel instant, fractional deficit included.
-        end = np.where(np.isnan(out_cancel), completion, out_cancel)
-        unfinished = np.isnan(end)
         # SimulationResult.verify_complete's check, on the kernel's rows.
+        unfinished = np.isnan(completion) & np.isnan(out_cancel)
         if unfinished.any():
             raise SimulationError(
                 f"jobs did not complete: {ids[unfinished][:10].tolist()}"
             )
-        # Per-job exact integrals as sequential prefix sums in arrival
-        # order (np.sum would add pairwise and move the last bits).
-        flow = end - rel
-        alive_integral = float(np.cumsum(flow)[-1])
-        frac = float(np.cumsum(flow - out_deficit)[-1])
+        # Every job ended, so no flow runs to a horizon.
+        alive_integral, frac = flow_integrals(
+            rel, completion, out_cancel, out_deficit, math.nan
+        )
 
         leaves = np.array([p[-1] for p in self._paths], dtype=np.int64)[out_path_id]
         rows = KernelRows(

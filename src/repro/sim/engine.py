@@ -22,9 +22,12 @@ Event machinery
 Two event sources exist: the sorted arrival list and per-node completion
 predictions.  Completion events are pushed onto a heap tagged with the
 node's *version*; any change to a node's queue bumps the version, so
-stale events are skipped lazily.  Between events every quantity needed
-for the paper's fractional flow time changes affinely, so the integral
-is accumulated exactly (no discretisation error).
+stale events are skipped lazily.  The objectives are integrated per
+job, with the compiled kernel's algebra: fractional flow is flow minus
+a *deficit*, the integral of ``1 − rem/p_leaf`` at the leaf, which
+each leaf settle, completion, drain, cancel and horizon closes exactly
+(remaining work is constant while a job waits and linear while it
+runs); :func:`~repro.sim.result.flow_integrals` sums the terms.
 
 Incremental congestion aggregates
 ---------------------------------
@@ -53,6 +56,8 @@ from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter
 from typing import Protocol
 
+import numpy as np
+
 from repro.exceptions import (
     AssignmentError,
     InvariantViolation,
@@ -60,7 +65,7 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.sim.counters import EngineCounters, global_counters
-from repro.sim.result import JobRecord, ScheduleSegment, SimulationResult
+from repro.sim.result import JobRecord, ScheduleSegment, SimulationResult, flow_integrals
 from repro.sim.tolerances import (
     CLOCK_EPS,
     DRIFT_RTOL,
@@ -124,6 +129,8 @@ class _JobState:
         "leaf_time",
         "node_key",
         "leaf_key",
+        "deficit",
+        "prev_end",
     )
 
     def __init__(
@@ -146,6 +153,9 @@ class _JobState:
         # (``None`` means "call the priority function").
         self.node_key: tuple | None = None
         self.leaf_key: tuple | None = None
+        # The deficit closed so far; when ``remaining`` was last updated.
+        self.deficit = 0.0
+        self.prev_end = 0.0
 
     @property
     def current_node(self) -> int | None:
@@ -245,10 +255,6 @@ class SchedulerView:
         depends on the history of pushes and pops.
         """
         return tuple(jid for _, jid in sorted(self._engine._nodes[node].heap))
-
-    def active_at(self, node: int) -> int | None:
-        """Id of the job being processed on ``node``, if any."""
-        return self._engine._nodes[node].active_id
 
     def jobs_through(self, node: int) -> tuple[int, ...]:
         """``Q_v(t)``: alive jobs routed through ``node`` and not yet
@@ -350,10 +356,6 @@ class SchedulerView:
         if st.idx < pos:
             return eng.instance.processing_time(st.job, node)
         return eng._live_remaining(st)
-
-    def live_remaining(self, job_id: int) -> float:
-        """Remaining processing of the job on its *current* node."""
-        return self._engine._live_remaining(self._engine._states[job_id])
 
     # -- dynamic events --------------------------------------------------
     def downed_nodes(self) -> frozenset[int]:
@@ -470,7 +472,7 @@ class Engine:
         This is what bounds memory in the open-system streaming mode
         (:mod:`repro.service`); the final
         :class:`~repro.sim.result.SimulationResult` then carries only
-        the jobs still in flight.
+        the jobs still in flight, and integrals over every job.
     max_events:
         Safety bound on processed events; exceeding it raises
         :class:`~repro.exceptions.SimulationError`.  ``None`` disables
@@ -550,12 +552,9 @@ class Engine:
         self._seq = 0
         self._num_events = 0
 
-        # fractional-flow accounting
-        self._frac_integral = 0.0
-        self._alive_fraction = 0.0  # Σ_alive remaining_leaf/p_leaf at self.now
-        self._drain = 0.0  # d/dt of the above (≥ 0): Σ over draining leaves
-        self._leaf_drain: dict[int, float] = {v: 0.0 for v in tree.leaves}
-        self._alive_integral = 0.0
+        # The objectives' terms of jobs already evicted (see _evict).
+        self._evicted_alive = 0.0
+        self._evicted_frac = 0.0
 
         self._segments: list[ScheduleSegment] | None = (
             [] if record_segments else None
@@ -653,6 +652,12 @@ class Engine:
                 if self._counters is not None:
                     self._counters.aggregate_updates += 2
             st.remaining = new_rem
+            if ns.is_leaf:
+                pl, arem, astart = st.leaf_time, ns.active_rem_start, ns.active_started
+                st.deficit += (pl - arem) / pl * (astart - st.prev_end) + (
+                    2.0 * pl - arem - new_rem
+                ) / (2.0 * pl) * (self.now - astart)
+                st.prev_end = self.now
             if self._segments is not None:
                 self._segments.append(
                     ScheduleSegment(ns.node_id, ns.active_id, ns.active_started, self.now)
@@ -663,8 +668,6 @@ class Engine:
                 )
         else:
             st.remaining = ns.active_rem_start
-        if ns.is_leaf:
-            self._set_leaf_drain(ns.node_id, 0.0)
         ns.active_id = None
 
     def _rearm(self, ns: _NodeState) -> None:
@@ -685,27 +688,21 @@ class Engine:
         _heappush(self._events, (finish, ns.version, self._seq, ns.node_id))
         if self._counters is not None:
             self._counters.heap_pushes += 1
-        if ns.is_leaf:
-            self._set_leaf_drain(ns.node_id, ns.speed / st.leaf_time)
-
-    def _set_leaf_drain(self, leaf: int, value: float) -> None:
-        old = self._leaf_drain[leaf]
-        if old != value:
-            self._drain += value - old
-            self._leaf_drain[leaf] = value
 
     def _advance(self, t: float) -> None:
-        """Move simulated time to ``t``, accumulating exact integrals."""
+        """Move simulated time to ``t``."""
         dt = t - self.now
-        if dt < 0:
-            if dt < -CLOCK_EPS:
-                raise SimulationError(f"time went backwards: {self.now} -> {t}")
-            dt = 0.0
         if dt > 0.0:
-            self._frac_integral += self._alive_fraction * dt - 0.5 * self._drain * dt * dt
-            self._alive_fraction = max(self._alive_fraction - self._drain * dt, 0.0)
-            self._alive_integral += len(self._alive) * dt
             self.now = t
+        elif dt < -CLOCK_EPS:
+            raise SimulationError(f"time went backwards: {self.now} -> {t}")
+
+    def _evict(self, st: _JobState) -> None:
+        """Drop a terminal job's state, its objective terms folded first."""
+        flow = self.now - st.record.release
+        self._evicted_alive += flow
+        self._evicted_frac += flow - st.deficit
+        del self._states[st.job.id]
 
     # ------------------------------------------------------------------
     # event handlers
@@ -766,6 +763,9 @@ class Engine:
         self._queue_volume[node_id] -= residual
         if self._counters is not None:
             self._counters.aggregate_updates += 3
+        if ns.is_leaf:
+            pl = st.leaf_time
+            st.deficit += (pl - residual) / pl * (self.now - st.prev_end)
         st.remaining = 0.0
         st.record.completed_at.append(self.now)
         st.idx += 1
@@ -780,10 +780,11 @@ class Engine:
                 if st.job.size_estimate is not None:
                     sink.on_reveal(self.now, jid, st.job.size)
             if self._evict_finished:
-                del self._states[jid]
+                self._evict(st)
             return
         nxt = self._nodes[st.path[st.idx]]
         st.remaining = self._processing_on(nxt, st)
+        st.prev_end = self.now
         st.record.available_at.append(self.now)
         if sink is not None:
             sink.on_available(self.now, jid, nxt.node_id)
@@ -878,7 +879,6 @@ class Engine:
         self._states[job.id] = st
         self._alive.add(job.id)
         self._alive_at_leaf[leaf].add(job.id)
-        self._alive_fraction += 1.0
 
         # Release mutation point: the whole path gains one routed job and
         # its full per-node requirement.
@@ -895,6 +895,7 @@ class Engine:
 
         first = self._nodes[path[0]]
         st.remaining = self._processing_on(first, st)
+        st.prev_end = self.now
         record.available_at.append(self.now)
         if self._sink is not None:
             self._sink.on_arrival(self.now, job.id, leaf)
@@ -947,10 +948,10 @@ class Engine:
             sink.on_service(ns.node_id, jid, ns.active_started, now)
         node_id = ns.node_id
         if ns.is_leaf:
-            old = self._leaf_drain[node_id]
-            if old != 0.0:
-                self._drain -= old
-                self._leaf_drain[node_id] = 0.0
+            pl, arem, astart = st.leaf_time, ns.active_rem_start, ns.active_started
+            st.deficit += (pl - arem) / pl * (astart - st.prev_end) + (
+                2.0 * pl - arem
+            ) / (2.0 * pl) * (now - astart)
         ns.active_id = None
         residual = st.remaining  # == active_rem_start: frozen while active
         self._through_count[node_id] -= 1
@@ -970,10 +971,11 @@ class Engine:
                 if st.job.size_estimate is not None:
                     sink.on_reveal(now, jid, st.job.size)
             if self._evict_finished:
-                del self._states[jid]
+                self._evict(st)
         else:
             nxt = self._nodes[st.path[st.idx]]
             st.remaining = st.leaf_time if nxt.is_leaf else st.job.size
+            st.prev_end = now
             st.record.available_at.append(now)
             if sink is not None:
                 sink.on_available(now, jid, nxt.node_id)
@@ -996,8 +998,6 @@ class Engine:
             )
             if counters is not None:
                 counters.heap_pushes += 1
-            if ns.is_leaf:
-                self._set_leaf_drain(node_id, ns.speed / nxt_st.leaf_time)
 
     # ------------------------------------------------------------------
     # dynamic events (node breakdowns/repairs, cancellations)
@@ -1095,24 +1095,20 @@ class Engine:
         if self._counters is not None:
             self._counters.aggregate_updates += len(path) - st.idx + 1
 
-        # Fractional-flow accounting: the job's alive fraction vanishes.
-        leaf = st.record.leaf
-        lpos = st.pos_of[leaf]
-        if st.idx < lpos:
-            af = self._alive_fraction - 1.0
-        else:
-            af = self._alive_fraction - rem / st.leaf_time
-        self._alive_fraction = af if af > 0.0 else 0.0
+        if ns.is_leaf:
+            # The fraction ``rem / p_leaf`` held since the last settle.
+            pl = st.leaf_time
+            st.deficit += (pl - rem) / pl * (self.now - st.prev_end)
 
         self._alive.discard(job_id)
-        self._alive_at_leaf[leaf].discard(job_id)
+        self._alive_at_leaf[st.record.leaf].discard(job_id)
         st.idx = len(path)
         st.remaining = 0.0
         st.record.cancelled_at = self.now
         if self._sink is not None:
             self._sink.on_cancel(self.now, st.record, cur)
         if self._evict_finished:
-            del self._states[job_id]
+            self._evict(st)
 
     # ------------------------------------------------------------------
     # main loop (open-system core; batch run() is the closed special case)
@@ -1138,7 +1134,7 @@ class Engine:
         """Process events (admissions and completions) in time order.
 
         Returns when the next event lies past ``until`` — after advancing
-        time exactly to ``until`` so the integrals cover the full window
+        time exactly to ``until`` so the result covers the full window
         — or, with ``until=None``, when both the arrival source and the
         event heap are exhausted.  Re-enterable: per-call state is only
         the arrival lookahead, written back on every exit path.
@@ -1199,15 +1195,9 @@ class Engine:
                     t, version, _, node_id = _heappop(events)
                     if sink is not None:
                         sink.before_advance(t)
-                    # Inlined _advance(t): exact affine integral accumulation.
+                    # Inlined _advance(t).
                     dt = t - self.now
                     if dt > 0.0:
-                        drain = self._drain
-                        af = self._alive_fraction
-                        self._frac_integral += af * dt - 0.5 * drain * dt * dt
-                        af -= drain * dt
-                        self._alive_fraction = af if af > 0.0 else 0.0
-                        self._alive_integral += len(self._alive) * dt
                         self.now = t
                     elif dt < -CLOCK_EPS:
                         raise SimulationError(
@@ -1284,9 +1274,19 @@ class Engine:
         if self._arrivals_iter is None:
             raise SimulationError("stream_result() before stream_start()")
         if self._result is None:
-            for ns in self._nodes.values():
-                self._settle(ns)
+            self._settle_at_horizon()
         return self._build_result(verify=verify)
+
+    def _settle_at_horizon(self) -> None:
+        """Settle every node and close the deficit of every job at its
+        leaf, so segments, trace spans and integrals cover ``[0, now]``."""
+        for ns in self._nodes.values():
+            self._settle(ns)
+            if ns.is_leaf:
+                for _, jid in ns.heap:
+                    st = self._states[jid]
+                    pl = st.leaf_time
+                    st.deficit += (pl - st.remaining) / pl * (self.now - st.prev_end)
 
     def _build_result(self, *, verify: bool) -> SimulationResult:
         if self._result is not None:
@@ -1309,13 +1309,21 @@ class Engine:
             {jid: st.record for jid, st in self._states.items()},
             instance=self.instance,
             speeds=self.speeds,
-            fractional_flow=self._frac_integral,
-            alive_integral=self._alive_integral,
+            fractional_flow=0.0,
+            alive_integral=0.0,
             num_events=self._num_events,
             segments=self._segments,
             counters=counters,
             trace=trace,
         )
+        # The integrals are summed from the result's own columns, plus the
+        # terms evicted jobs folded as they left.
+        alive, frac = flow_integrals(
+            result.releases, result.completion_times, result.cancel_times,
+            np.array([st.deficit for st in self._states.values()]), self.now,
+        )
+        result.alive_integral = self._evicted_alive + alive
+        result.fractional_flow = self._evicted_frac + frac
         if verify:
             result.verify_complete()
         self._result = result
@@ -1343,10 +1351,7 @@ class Engine:
             raise SimulationError(f"until must be >= 0, got {until}")
         self._stream_loop(until)
         if until is not None:
-            # Close open schedule segments at the horizon so recorded
-            # segments cover exactly [0, until].
-            for ns in self._nodes.values():
-                self._settle(ns)
+            self._settle_at_horizon()
         return self._build_result(verify=until is None)
 
     # ------------------------------------------------------------------
@@ -1404,22 +1409,6 @@ class Engine:
                 raise InvariantViolation(
                     f"job {jid} remaining {rem} outside [0, {p}]"
                 )
-        # Fractional bookkeeping must match a from-scratch recomputation.
-        expected = 0.0
-        for jid in self._alive:
-            st = self._states[jid]
-            leaf = st.record.leaf
-            p_leaf = self.instance.processing_time(st.job, leaf)
-            pos = st.pos_of[leaf]
-            if st.idx < pos:
-                expected += 1.0
-            elif st.idx == pos:
-                expected += self._live_remaining(st) / p_leaf
-        if abs(expected - self._alive_fraction) > DRIFT_RTOL * max(1.0, expected):
-            raise InvariantViolation(
-                f"alive-fraction drift: tracked {self._alive_fraction}, "
-                f"recomputed {expected}"
-            )
         self._assert_aggregates()
 
     def _assert_aggregates(self) -> None:

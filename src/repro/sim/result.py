@@ -32,6 +32,7 @@ __all__ = [
     "KernelRows",
     "ScheduleSegment",
     "SimulationResult",
+    "flow_integrals",
 ]
 
 
@@ -242,6 +243,26 @@ def _cut_rows(block: np.ndarray, counts: np.ndarray) -> list[list[float]]:
     if counts.min(initial=width) == width:
         return rows
     return [r if c == width else r[:c] for r, c in zip(rows, counts.tolist())]
+
+
+def flow_integrals(
+    releases: np.ndarray,
+    completion_times: np.ndarray,
+    cancel_times: np.ndarray,
+    deficits: np.ndarray,
+    now: float,
+) -> tuple[float, float]:
+    """``(alive_integral, fractional_flow)`` of per-job columns in
+    arrival order, for both engines: a job's flow runs from its release
+    to its cancel instant, else its completion, else ``now``, and its
+    fractional flow subtracts its deficit (``∫ 1 − rem/p_leaf`` at its
+    leaf).  Sequential prefix sums, since ``np.sum`` adds pairwise and
+    would move the last bits; 0.0 with no jobs."""
+    if not len(releases):
+        return 0.0, 0.0
+    end = np.where(np.isnan(cancel_times), completion_times, cancel_times)
+    flow = np.where(np.isnan(end), now, end) - releases
+    return float(np.cumsum(flow)[-1]), float(np.cumsum(flow - deficits)[-1])
 
 
 #: The per-job summary columns of a :class:`SimulationResult`.

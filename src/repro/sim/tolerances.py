@@ -58,7 +58,8 @@ REMAINING_ATOL = 1e-12
 #: ``rem_start - speed * elapsed`` grow with the job's size on the node.
 REMAINING_RTOL = 1e-12
 
-#: Relative slack for the alive-fraction bookkeeping cross-check.
+#: Relative slack for the congestion-aggregate cross-check
+#: (the volume oracle behind ``check_invariants``).
 DRIFT_RTOL = 1e-6
 
 #: Default tolerance for post-hoc schedule validation

@@ -353,8 +353,9 @@ def _check_backends(
     job, the same per-hop completion / hand-off times; then the whole
     record mapping (``alt.records == base.records``, which also covers
     release, path and size estimate, and reads every lazily built c
-    record) and ``total_flow_time()`` (read off the c result's summary
-    columns, not its records).
+    record), ``total_flow_time()`` (read off the c result's summary
+    columns, not its records) and both integrals, which the two engines
+    close per job with the same algebra and sum in one function.
 
     ``num_events`` is deliberately *not* compared: on tie-heavy cases
     two hop completions on adjacent nodes can land on the same instant,
@@ -437,14 +438,15 @@ def _check_backends(
         failures.append(
             CheckFailure("backends", f"records differ (engine, c): jobs {differ[:10]}")
         )
-    base_total, alt_total = base.total_flow_time(), alt.total_flow_time()
-    if base_total != alt_total:
-        failures.append(
-            CheckFailure(
-                "backends",
-                f"total_flow_time engine {base_total!r}, c {alt_total!r}",
+    for label, ours, theirs in (
+        ("total_flow_time", base.total_flow_time(), alt.total_flow_time()),
+        ("fractional_flow", base.fractional_flow, alt.fractional_flow),
+        ("alive_integral", base.alive_integral, alt.alive_integral),
+    ):
+        if ours != theirs:
+            failures.append(
+                CheckFailure("backends", f"{label} engine {ours!r}, c {theirs!r}")
             )
-        )
     return "planned", failures
 
 

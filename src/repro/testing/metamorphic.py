@@ -47,16 +47,12 @@ events:
   event-free run bitwise (the ``events=None`` and ``EventSchedule()``
   code paths may not diverge);
 * ``idle_outage`` — a breakdown/repair pair appended strictly after the
-  last activity must change nothing: completions, cancellations and
-  ``alive_integral`` bitwise, ``fractional_flow`` to ``1e-9`` (the
-  run's accumulated alive-fraction dust integrates over the idle gap;
-  the same dust exists in event-free idle gaps and is not an events
-  bug).
+  last activity must change nothing: completions, cancellations,
+  ``fractional_flow`` and ``alive_integral`` bitwise (the integrals are
+  per-job terms, and no job is alive during the outage).
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.core.assignment import FixedAssignment
 from repro.sim.engine import simulate
@@ -275,18 +271,21 @@ def empty_events(case, base) -> list[str]:
     other = _rerun(
         case, case.instance, base.assignment(), events=EventSchedule()
     )
-    problems = _compare(base, other, name="empty_events")
-    if other.fractional_flow != base.fractional_flow:
-        problems.append(
-            f"empty_events: fractional_flow moved "
-            f"{base.fractional_flow!r} -> {other.fractional_flow!r}"
+    return _compare(base, other, name="empty_events") + _integrals_moved(
+        base, other, "empty_events"
+    )
+
+
+def _integrals_moved(base, other, name: str) -> list[str]:
+    """Both integrals, compared bitwise."""
+    return [
+        f"{name}: {label} moved {ours!r} -> {theirs!r}"
+        for label, ours, theirs in (
+            ("fractional_flow", base.fractional_flow, other.fractional_flow),
+            ("alive_integral", base.alive_integral, other.alive_integral),
         )
-    if other.alive_integral != base.alive_integral:
-        problems.append(
-            f"empty_events: alive_integral moved "
-            f"{base.alive_integral!r} -> {other.alive_integral!r}"
-        )
-    return problems
+        if ours != theirs
+    ]
 
 
 def idle_outage(case, base) -> list[str]:
@@ -295,11 +294,8 @@ def idle_outage(case, base) -> list[str]:
 
     The outage lands ``16`` time units past both the base run's last
     terminal instant and the last scheduled event, on the smallest
-    non-root node; nothing is queued anywhere, so completions and
-    cancellations must be bitwise unchanged.  ``fractional_flow`` is
-    compared to ``1e-9`` rather than bitwise: integrating the run's
-    residual alive-fraction dust (~1e-15, present in event-free idle
-    gaps too) over the gap to the outage perturbs the last few ulps.
+    non-root node; nothing is queued anywhere, so completions,
+    cancellations and both integrals must be bitwise unchanged.
     """
     tree = case.instance.tree
     nodes = [v for v in tree.node_ids if v != tree.root]
@@ -318,15 +314,9 @@ def idle_outage(case, base) -> list[str]:
     other = _rerun(
         case, case.instance, base.assignment(), events=EventSchedule(extra)
     )
-    problems = _compare(base, other, name="idle_outage")
-    if not math.isclose(
-        other.fractional_flow, base.fractional_flow, rel_tol=1e-9, abs_tol=1e-9
-    ):
-        problems.append(
-            f"idle_outage: fractional_flow moved "
-            f"{base.fractional_flow!r} -> {other.fractional_flow!r}"
-        )
-    return problems
+    return _compare(base, other, name="idle_outage") + _integrals_moved(
+        base, other, "idle_outage"
+    )
 
 
 #: name -> relation; each takes ``(case, base_result)`` and returns

@@ -256,9 +256,11 @@ class TestPreGridPathRemoved:
 
 
 class TestDeadHelpersRemoved:
-    """Two helpers nothing called are gone with no alias:
+    """Helpers nothing called are gone with no alias:
     ``repro.sim.metrics.flow_time_array`` (``result.flow_times()`` is
-    the same array) and ``repro.lp.bounds.stretch_lower_bounds``."""
+    the same array), ``repro.lp.bounds.stretch_lower_bounds``,
+    ``SchedulerView.active_at`` / ``live_remaining`` and
+    ``TraceRecorder.record_count``."""
 
     def test_flow_time_array_absent(self):
         from repro.sim import metrics
@@ -275,6 +277,20 @@ class TestDeadHelpersRemoved:
         assert not hasattr(bounds, "stretch_lower_bounds")
         assert "stretch_lower_bounds" not in bounds.__all__
         assert not hasattr(lp, "stretch_lower_bounds")
+
+    def test_view_active_at_and_live_remaining_absent(self):
+        from repro.sim.engine import Engine, SchedulerView
+
+        assert not hasattr(SchedulerView, "active_at")
+        assert not hasattr(SchedulerView, "live_remaining")
+        # ``is_down`` stays: docs/dynamic-events.md documents it.
+        view = Engine(_instance(), _policy()).view
+        assert view.is_down(min(view.tree.leaves)) is False
+
+    def test_trace_recorder_record_count_absent(self):
+        from repro.obs.trace import TraceRecorder
+
+        assert not hasattr(TraceRecorder, "record_count")
 
 
 def test_modern_surface_is_warning_free(tmp_path):

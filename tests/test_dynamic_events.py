@@ -139,6 +139,24 @@ class TestOutageAndCancelSemantics:
                     f"segment {seg} overlaps the 8-13 outage of node 1"
                 )
 
+    @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+    def test_cancel_of_a_preempted_leaf_job_closes_its_deficit(self, backend):
+        # Job 0 reaches the leaf at 4; job 1 preempts it there at 5.5
+        # with 2.5 of 4 left, and the cancel at 5.75 finds it queued.
+        # Deficits: job 0 0.28125 on [4,5.5] plus 0.375 * 0.25 queued;
+        # job 1 0.5 for its run on [5.5,6.5].
+        tree = tree_from_parent_map({0: None, 1: 0, 2: 1})
+        inst = Instance(
+            tree, JobSet.build(releases=[0.0, 4.5], sizes=[4.0, 1.0]),
+            Setting.IDENTICAL,
+        )
+        res = api.simulate(
+            instance=inst, policy="closest", backend=backend,
+            events=EventSchedule([Cancel(5.75, 0)]),
+        )
+        assert res.records[0].cancelled_at == 5.75
+        assert (res.alive_integral, res.fractional_flow) == (7.75, 6.875)
+
     def test_unknown_and_late_cancels_are_no_ops(self):
         inst = _chain_instance()
         base = api.simulate(instance=inst)

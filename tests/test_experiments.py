@@ -126,3 +126,37 @@ def test_lemma_audit_counts_pinned(exp_id, payload):
     grid = get_experiment(exp_id)
     (spec,) = enumerate_trials(grid, merge_params(grid, QUICK_PARAMS[exp_id]))
     assert execute_trial(grid, spec) == payload
+
+
+def test_renders_match_across_backends(monkeypatch):
+    """``REPRO_BACKEND`` reaches the registry: every render but S1's
+    (wall-clock throughput) is byte-identical with the variable unset
+    and with ``REPRO_BACKEND=c``, and the kernel really ran."""
+    from repro.sim.backends import c_build
+    from repro.sim.backends.c_backend import CEngine
+
+    ok, reason = c_build.availability()
+    if not ok:
+        pytest.skip(f"c backend unavailable: {reason}")
+    kernel_runs = 0
+    kernel_run = CEngine.run
+
+    def counting_run(self):
+        nonlocal kernel_runs
+        kernel_runs += 1
+        return kernel_run(self)
+
+    monkeypatch.setattr(CEngine, "run", counting_run)
+
+    def renders():
+        return {
+            eid: run_experiment(eid, **QUICK_PARAMS[eid]).render()
+            for eid in sorted(EXPECTED_IDS - {"S1"})
+        }
+
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    python = renders()
+    assert not kernel_runs
+    monkeypatch.setenv("REPRO_BACKEND", "c")
+    assert renders() == python
+    assert kernel_runs

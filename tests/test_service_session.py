@@ -75,6 +75,20 @@ class TestBatchParity:
         for jid, rec in batch.records.items():
             assert result.records[jid].completion == rec.completion
 
+    def test_drained_evicting_session_integrals_match_batch(self):
+        """Evicted jobs fold their integral terms in completion order,
+        the batch run sums them in arrival order: the same terms, so
+        the totals agree to rounding."""
+        inst = _instance(n_jobs=600, seed=4)
+        batch = api.simulate(instance=inst, policy="greedy")
+        sess = api.open_system(instance=inst, policy="greedy", evict=True)
+        sess.drain()
+        result = sess.close()
+        assert len(result.records) == 0
+        for name in ("fractional_flow", "alive_integral"):
+            got, want = getattr(result, name), getattr(batch, name)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+
     def test_unrelated_setting_parity(self):
         inst = _instance(n_jobs=60, seed=9, unrelated=True)
         batch = api.simulate(instance=inst, policy="greedy")

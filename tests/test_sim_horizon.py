@@ -41,12 +41,27 @@ class TestHorizonSemantics:
         assert res.completed_records().keys() == {0}
 
     def test_integrals_cover_exactly_the_window(self):
-        # One size-2 job: alive on [0, 4).  Capped at 3: alive integral 3.
-        instance = chain_instance([Job(id=0, release=0.0, size=2.0)])
-        res = simulate(instance, FixedAssignment({0: 2}), until=3.0)
-        assert res.alive_integral == pytest.approx(3.0)
-        # Fractional: 1 on [0,2], then drains 0.5/s on [2,3] -> 2 + 0.75.
-        assert res.fractional_flow == pytest.approx(2.75)
+        cases = [
+            # One size-2 job: alive on [0, 4).  Capped at 3: alive
+            # integral 3; fractional 1 on [0,2], then drains 0.5/s on
+            # [2,3] -> 2 + 0.75.
+            ([Job(id=0, release=0.0, size=2.0)], 3.0, 3.0, 2.75),
+            # Job 0 reaches the leaf at 4 and runs; job 1 preempts it
+            # there at 5.5 with 2.5 left, so at the horizon 6 job 0 is
+            # queued at its leaf, partly served.  Deficits: job 0
+            # 0.28125 running on [4,5.5] plus 0.375 * 0.5 waiting;
+            # job 1 0.25 * 0.5 on [5.5,6].
+            (
+                [Job(id=0, release=0.0, size=4.0), Job(id=1, release=4.5, size=1.0)],
+                6.0,
+                7.5,
+                6.90625,
+            ),
+        ]
+        for jobs, until, alive, frac in cases:
+            fixed = FixedAssignment({j.id: 2 for j in jobs})
+            res = simulate(chain_instance(jobs), fixed, until=until)
+            assert (res.alive_integral, res.fractional_flow) == (alive, frac)
 
     def test_segments_closed_at_horizon(self):
         instance = chain_instance([Job(id=0, release=0.0, size=4.0)])

@@ -278,8 +278,12 @@ class TestBackendParity:
         assert py.assignment() == c.assignment()
         assert py.completions() == c.completions()
         assert py.cancelled_records() == c.cancelled_records()
-        # The kernel's integral: a left-to-right sum over the records in
-        # arrival order, each job's flow up to completion or cancel.
+        # Both engines close the same per-job deficits with the same
+        # algebra and sum them the same way.
+        assert py.fractional_flow == c.fractional_flow
+        assert py.alive_integral == c.alive_integral
+        # The integral: a left-to-right sum over the records in arrival
+        # order, each job's flow up to completion or cancel.
         alive = 0.0
         for rec in c.records.values():
             end = rec.cancelled_at if rec.cancelled else rec.completion
