@@ -9,6 +9,7 @@ import numpy as np
 from repro.core.assignment import path_is_blocked
 from repro.exceptions import AssignmentError
 from repro.sim.engine import SchedulerView
+from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job
 
 __all__ = [
@@ -42,6 +43,29 @@ def _feasible_leaves(view: SchedulerView, job: Job) -> tuple[int, ...]:
     if not leaves:
         raise AssignmentError(f"job {job.id} has no feasible leaf")
     return leaves
+
+
+def _feasible_counts(instance: Instance, mask: np.ndarray | None) -> np.ndarray:
+    """``len(_feasible_leaves(...))`` of every job, from
+    :meth:`Instance.feasible_mask` ``mask``."""
+    if mask is None:
+        return np.full(len(instance.jobs), instance.tree.num_leaves)
+    return mask.sum(axis=1)
+
+
+def _kth_feasible(instance: Instance, mask: np.ndarray | None, k: np.ndarray) -> np.ndarray:
+    """``_feasible_leaves(...)[k]`` of every job (candidate order)."""
+    leaves = np.array(instance.tree.leaves, dtype=np.int64)
+    if mask is None:
+        return leaves[k]
+    # One pass per leaf, in candidate order, counting each job's
+    # feasible leaves down to its k-th (a row-wise cumsum is slower).
+    out = np.empty(len(k), dtype=np.int64)
+    left = k.copy()
+    for leaf, feasible in zip(leaves.tolist(), np.ascontiguousarray(mask.T)):
+        out[(left == 0) & feasible] = leaf
+        left -= feasible
+    return out
 
 
 class ClosestLeafAssignment:
@@ -99,6 +123,28 @@ class ClosestLeafAssignment:
             raise AssignmentError(f"job {job.id} has no feasible leaf")
         return best
 
+    def assign_all(self, instance: Instance) -> np.ndarray:
+        """:meth:`assign` of every job of ``instance`` (masked), in
+        release order, as one leaf-id array: the same ``P_{v,j}`` scores,
+        minimised over the feasible leaves in leaf-id order, so ties go
+        to the smallest id (``tree.leaves`` is in preorder, not id
+        order)."""
+        tree = instance.tree
+        by_id = np.argsort(tree.leaves)
+        leaves = np.array(tree.leaves, dtype=np.int64)[by_id]
+        d = np.array([tree.d(v) for v in tree.leaves], dtype=np.float64)[by_id]
+        mask = instance.feasible_mask()
+        if instance.setting is Setting.IDENTICAL:
+            # P_{v,j} = d_v * p_j: the (d_v, v) minimum, whatever p_j is.
+            if mask is None:
+                return np.full(len(instance.jobs), leaves[d.argmin()])
+            score = np.where(mask[:, by_id], d, math.inf)
+        else:
+            p = instance.jobs.policy_sizes()[:, None]
+            score = (d - 1.0) * p + instance.leaf_size_matrix()[:, by_id]
+            score[~mask[:, by_id]] = math.inf
+        return leaves[score.argmin(axis=1)]
+
 
 class RandomAssignment:
     """Assign to a uniformly random feasible leaf (seeded)."""
@@ -109,6 +155,15 @@ class RandomAssignment:
     def assign(self, view: SchedulerView, job: Job, now: float) -> int:
         leaves = _feasible_leaves(view, job)
         return int(leaves[int(self.rng.integers(len(leaves)))])
+
+    def assign_all(self, instance: Instance) -> np.ndarray:
+        """:meth:`assign` of every job of ``instance`` (masked), in
+        release order, as one leaf-id array.  One vector draw with a
+        per-job bound yields the same values, and leaves ``rng`` in the
+        same state, as one scalar draw per job."""
+        mask = instance.feasible_mask()
+        k = self.rng.integers(_feasible_counts(instance, mask))
+        return _kth_feasible(instance, mask, k)
 
 
 class LeastLoadedAssignment:
@@ -193,7 +248,9 @@ class LeastLoadedAssignment:
 
 
 class RoundRobinAssignment:
-    """Cycle through the leaves in id order, skipping infeasible ones."""
+    """Cycle through the leaves in ``tree.leaves`` order, skipping
+    infeasible ones: job number ``k`` (counted over every call) takes
+    its feasible leaf ``k mod |feasible|``."""
 
     def __init__(self) -> None:
         self._next = 0
@@ -203,3 +260,13 @@ class RoundRobinAssignment:
         v = leaves[self._next % len(leaves)]
         self._next += 1
         return v
+
+    def assign_all(self, instance: Instance) -> np.ndarray:
+        """:meth:`assign` of every job of ``instance`` (masked), in
+        release order, as one leaf-id array; the counter advances by the
+        job count."""
+        n = len(instance.jobs)
+        mask = instance.feasible_mask()
+        k = (self._next + np.arange(n)) % _feasible_counts(instance, mask)
+        self._next += n
+        return _kth_feasible(instance, mask, k)

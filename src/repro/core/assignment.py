@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.fvalues import f_prime_value, f_top_value
 from repro.exceptions import AssignmentError
 from repro.sim.engine import SchedulerView
+from repro.workload.instance import Instance
 from repro.workload.job import Job
 
 __all__ = [
@@ -291,3 +294,17 @@ class FixedAssignment:
             raise AssignmentError(
                 f"no fixed assignment recorded for job {job.id}"
             ) from None
+
+    def assign_all(self, instance: Instance) -> np.ndarray:
+        """:meth:`assign` of every job of ``instance``, in release order,
+        as one array (of dtype object if the map holds non-integer
+        ids); raises for the first job the map lacks."""
+        ids = instance.jobs.job_ids().tolist()
+        try:
+            leaves = list(map(self.mapping.__getitem__, ids))
+        except KeyError as exc:
+            raise AssignmentError(
+                f"no fixed assignment recorded for job {exc.args[0]}"
+            ) from None
+        out = np.array(leaves)
+        return out if out.dtype.kind in "iu" else np.array(leaves, dtype=object)

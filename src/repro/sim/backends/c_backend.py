@@ -9,9 +9,11 @@ the contract:
   FIFO), dynamic-event schedules (outages, repairs, cancellations),
   size estimates, and every built-in policy: statically-decidable
   assignments (closest / random / round-robin / fixed — their choices
-  depend only on the instance, so they are precomputed by calling the
-  real policy object once per arrival on the masked job, consuming its
-  RNG/counter state exactly as a live run would), the paper's greedy
+  depend only on the instance, so the policy's bulk rule
+  ``assign_all(instance)`` resolves every job at once, equal to one
+  ``assign`` per masked job and consuming its RNG/counter state exactly
+  as a live run would; array checks then raise the python engine's
+  ``AssignmentError`` for the first offending job), the paper's greedy
   rule for identical and for unrelated endpoints (F' per leaf), and the
   least-loaded baseline over uniform or per-leaf sizes (all down-aware,
   forbidden leaves ``p_{j,v} = inf`` never picked).  Anything else —
@@ -21,10 +23,13 @@ the contract:
   :func:`repro.sim.backends.simulate` runs the python engine instead
   (same schedule, slower execution).
 * **Marshal** — batch-precompute every input column as a numpy array
-  (``np.lexsort`` priority ranks, finished-tolerances, preorder
-  topology, the leaf table, in the unrelated setting the n x leaves
-  ``p_{j,v}`` column with its per-leaf SJF ranks, and the event columns
-  when the schedule is non-empty), allocate every output buffer, and
+  (finished-tolerances, preorder topology, the leaf table, and the
+  event columns when the schedule is non-empty) around the job columns
+  the instance keeps — release, size, id, policy size, SJF rank and, in
+  the unrelated setting, the n x leaves ``p_{j,v}`` matrix with its
+  per-leaf SJF ranks, each built on the instance's first c call — so a
+  warm call runs O(nodes) Python and none per job; allocate every
+  output buffer, and
   hand the kernel one pointer-table struct (:class:`_KernelArgs`,
   field-for-field the C ``KernelArgs``).
 * **Assemble** — derive the result's five summary columns and both
@@ -46,8 +51,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -81,6 +84,10 @@ _MAX_DENSE_SLOTS = 20_000_000
 
 #: Packed heap entries carry the job index in the low 32 bits.
 _MAX_JOBS = 1 << 30
+
+#: Largest leaf id for which the static plan maps chosen leaves to slots
+#: through a dense table (beyond it, a dict lookup per job).
+_MAX_ID_TABLE = 1 << 16
 
 #: ``ev_kind`` codes of the kernel's dynamic-event columns.
 _EV_KIND = {NodeDown: 0, NodeUp: 1, Cancel: 2}
@@ -177,30 +184,6 @@ def _ptr(arr: np.ndarray | None, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-class _StaticView:
-    """The view handed to statically-decidable policies during the
-    kind-0 precompute: arrival order, call count and the masked job
-    match a live run exactly (one ``assign`` per job, in release
-    order), so seeded RNGs and round-robin counters advance identically
-    — but only the static surface (tree, instance, speeds) is exposed.
-    The plan gate admits exactly the policy types that read nothing
-    else."""
-
-    __slots__ = ("instance", "speeds", "now")
-
-    def __init__(self, instance: Instance, speeds: SpeedProfile) -> None:
-        self.instance = instance
-        self.speeds = speeds
-        self.now = 0.0
-
-    @property
-    def tree(self):
-        return self.instance.tree
-
-    def speed_of(self, node: int) -> float:
-        return self.speeds.speed_of(self.instance.tree, node)
-
-
 class CEngine:
     """One simulation run on the compiled kernel.
 
@@ -245,9 +228,8 @@ class CEngine:
         else:
             raise CKernelInapplicable("generic priority callables")
 
-        jobs = list(instance.jobs)
+        jobs = instance.jobs
         n = len(jobs)
-        self._jobs = jobs
         tree = instance.tree
         n_nodes = len(tree.node_ids) - 1
         if n == 0:
@@ -260,8 +242,7 @@ class CEngine:
         if ptype in _STATIC_POLICIES:
             self._kind = 0
         elif ptype in _LIVE_POLICIES:
-            root = tree.root
-            if any(j.origin is not None and j.origin != root for j in jobs):
+            if instance.router_origins().any():
                 raise CKernelInapplicable(
                     f"{ptype.__name__} with non-root job origins"
                 )
@@ -281,42 +262,34 @@ class CEngine:
         self._dll = c_build.load_kernel()
 
         # Static precompute — everything that does not consume policy
-        # state — happens here (run() keeps the policy replay, the
-        # kernel call and result assembly).
+        # state — happens here (run() keeps the static policies' bulk
+        # rule, the kernel call and result assembly).
         (
             self._is_leaf_a, self._speed_a, self._chain_off_a,
             self._chain_concat_a, self._enc_a,
         ) = self._plan_topology()
-        rel = np.array([j.release for j in jobs], dtype=np.float64)
-        size = np.array([j.size for j in jobs], dtype=np.float64)
-        ids = np.array([j.id for j in jobs], dtype=np.int64)
-        self._rel_a = rel
-        self._size_a = size
-        self._ids_a = ids
+        # The job columns the instance keeps: built on its first c call,
+        # read-only, and only ever read by the kernel.
+        self._rel_a = jobs.releases()
+        self._ids_a = jobs.job_ids()
+        self._size_a = size = jobs.sizes()
         # Policies score the masked job: its size estimate when declared.
         # Heap ranks, aggregates and records keep the true sizes.
-        if any(j.size_estimate is not None for j in jobs):
-            self._p_est_a = np.array(
-                [j.policy_size for j in jobs], dtype=np.float64
-            )
-        else:
-            self._p_est_a = size
+        self._p_est_a = jobs.policy_sizes()
         self._ftol_size_a = np.maximum(REMAINING_ATOL, REMAINING_RTOL * size)
-        rank = np.empty(n, dtype=np.int64)
+        # Jobs come in (release, id) order, so FIFO's rank is the index.
         if self._prio_kind == 2:
-            rank[np.lexsort((ids, rel))] = np.arange(n)
+            self._rank_a = np.arange(n, dtype=np.int64)
         else:
-            rank[np.lexsort((ids, rel, size))] = np.arange(n)
-        self._rank_a = rank
+            self._rank_a = jobs.size_ranks()
 
         self._paths: list[tuple[int, ...]] = []
         self._pid_of: dict[tuple[int, ...], int] = {}
-        # Every leaf's root-origin path, in tree.leaves order: the leaf
-        # table's rows (slots) and the static replay's validation map.
-        self._leaf_pid = {
-            leaf: self._path_id(tree.processing_path(leaf))
-            for leaf in tree.leaves
-        }
+        # Every leaf's root-origin path, in tree.leaves order, so a leaf's
+        # slot in tree.leaves is also its path id.
+        for leaf in tree.leaves:
+            self._path_id(tree.processing_path(leaf))
+        self._leaf_ids = np.array(tree.leaves, dtype=np.int64)
         self._weight = 0.0
         self._leaf_cols = self._e_cols = self._ll_cols = self._jv_cols = None
         if self._kind != 0:
@@ -365,18 +338,6 @@ class CEngine:
             enc = enc.astype(np.uint8)
         return is_leaf, speed, chain_off, chain_concat, enc
 
-    def _leaf_ranks(self, p_leaf: np.ndarray) -> np.ndarray | None:
-        """Leaf-heap order of the static plan at unrelated-setting SJF
-        leaves (``None`` where no leaf heap reads it): the engine pushes
-        ``(p_leaf, release, id)`` keys; per-leaf heaps never mix leaves,
-        so one global rank orders each identically."""
-        if self._identical or self._prio_kind != 1:
-            return None
-        n = len(self._jobs)
-        leaf_rank = np.empty(n, dtype=np.int64)
-        leaf_rank[np.lexsort((self._ids_a, self._rel_a, p_leaf))] = np.arange(n)
-        return leaf_rank
-
     def _path_id(self, path_ids: tuple[int, ...]) -> int:
         pid = self._pid_of.get(path_ids)
         if pid is None:
@@ -386,64 +347,94 @@ class CEngine:
         return pid
 
     def _precompute_static(self):
-        """Kind 0: replay the policy per arrival (on the masked job)
-        against the static view, validating exactly as the engine's
-        arrival path.  Returns the path-id, leaf-size and leaf-tolerance
+        """Kind 0: every job's leaf from the policy's bulk rule (which
+        consumes the policy's state — RNG draws, round-robin counter —
+        exactly as one ``assign`` per arrival would), validated as the
+        engine's arrival path validates it.  Returns the path-id,
+        leaf-size, leaf-tolerance and (unrelated SJF) leaf-rank
         columns."""
         instance = self.instance
-        root = instance.tree.root
-        leaf_pid = self._leaf_pid
-        view = _StaticView(instance, self.speeds)
-        assign = self.policy.assign
-        identical = self._identical
-        pids: list[int] = []
-        p_leaf: list[float] = []
-        for job in self._jobs:
-            view.now = job.release
-            leaf = assign(view, job.masked(), job.release)
-            pid = leaf_pid.get(leaf)
-            if pid is None:
-                raise AssignmentError(
-                    f"policy assigned job {job.id} to non-leaf node {leaf!r}"
-                )
-            origin = job.origin
-            if origin is not None and origin != root:
-                try:
-                    path = instance.processing_path_for(job, leaf)
-                except TopologyError as exc:
-                    raise AssignmentError(
-                        f"policy assigned job {job.id} to leaf {leaf} outside "
-                        f"its origin's subtree: {exc}"
-                    ) from exc
-                if not path:
-                    raise AssignmentError(
-                        f"job {job.id}: empty processing path to leaf {leaf}"
-                    )
-                pid = self._path_id(path)
-            if not identical:
-                pl = job.processing_on_leaf(leaf)
-                if not math.isfinite(pl):
-                    raise AssignmentError(
-                        f"policy assigned job {job.id} to forbidden leaf "
-                        f"{leaf} (p=inf)"
-                    )
-                p_leaf.append(pl)
-            pids.append(pid)
-        job_path_id = np.array(pids, dtype=np.int32)
-        if identical:
-            return job_path_id, self._size_a, self._ftol_size_a
-        p_leaf_a = np.array(p_leaf, dtype=np.float64)
-        ftol_leaf = np.maximum(REMAINING_ATOL, REMAINING_RTOL * p_leaf_a)
-        return job_path_id, p_leaf_a, ftol_leaf
+        jobs = instance.jobs
+        chosen = self.policy.assign_all(instance)
+        slot = self._leaf_slots(chosen)
+        rows = np.arange(len(slot))
+        bad = slot < 0
+        slot[bad] = 0
+        mask = instance.feasible_mask()
+        if mask is not None:
+            bad |= ~mask[rows, slot]
+        if bad.any():
+            i = int(bad.argmax())
+            self._reject(jobs[i], chosen.item(i))
+        job_path_id = slot.astype(np.int32)
+        own = np.flatnonzero(instance.router_origins())
+        if len(own):
+            # Below-origin paths, one lookup per distinct (origin, leaf).
+            pairs = jobs.origins()[own] * len(self._leaf_ids) + slot[own]
+            _, first, inverse = np.unique(
+                pairs, return_index=True, return_inverse=True
+            )
+            pids = [
+                self._path_id(instance.processing_path_for(
+                    jobs[int(own[f])], int(self._leaf_ids[slot[own[f]]])
+                ))
+                for f in first
+            ]
+            job_path_id[own] = np.array(pids, dtype=np.int32)[inverse]
+        if self._identical:
+            return job_path_id, self._size_a, self._ftol_size_a, None
+        p_leaf = instance.leaf_size_matrix()[rows, slot]
+        ftol_leaf = np.maximum(REMAINING_ATOL, REMAINING_RTOL * p_leaf)
+        leaf_rank = None
+        if self._prio_kind == 1:
+            # Leaf heaps order by (p_leaf, release, id); the dense rank of
+            # p_leaf does, as for kinds 2-3 (see _precompute_leaf_sizes).
+            leaf_rank = np.unique(p_leaf, return_inverse=True)[1]
+        return job_path_id, p_leaf, ftol_leaf, leaf_rank
+
+    def _leaf_slots(self, chosen: np.ndarray) -> np.ndarray:
+        """Each chosen node's slot in ``tree.leaves`` (``-1``: not a
+        leaf)."""
+        leaves = self._leaf_ids
+        span = int(leaves.max()) + 1
+        if chosen.dtype.kind in "iu" and span <= _MAX_ID_TABLE:
+            # Small integer ids: one table read per job.
+            table = np.full(span + 1, -1)
+            table[leaves] = np.arange(len(leaves))
+            return table[np.where((chosen >= 0) & (chosen < span), chosen, span)]
+        # Large ids, or a fixed map holding other values: look each up as
+        # the engine does.
+        slot_of = {v: q for q, v in enumerate(leaves.tolist())}
+        return np.array([slot_of.get(v, -1) for v in chosen.tolist()])
+
+    def _reject(self, job, leaf) -> None:
+        """Raise the python engine's arrival-path error for ``job``
+        assigned to ``leaf``: its checks, in its order, with its
+        messages."""
+        instance = self.instance
+        if leaf not in instance.tree.leaves:
+            raise AssignmentError(
+                f"policy assigned job {job.id} to non-leaf node {leaf!r}"
+            )
+        try:
+            instance.processing_path_for(job, leaf)
+        except TopologyError as exc:
+            raise AssignmentError(
+                f"policy assigned job {job.id} to leaf {leaf} outside "
+                f"its origin's subtree: {exc}"
+            ) from exc
+        raise AssignmentError(
+            f"policy assigned job {job.id} to forbidden leaf {leaf} (p=inf)"
+        )
 
     def _precompute_leaves(self):
         """Kinds 1-3: the leaf table — id, node index and path id per
         leaf, in ``tree.leaves`` order (the policies' candidate order)."""
         leaves = self.instance.tree.leaves
         return (
-            np.array(leaves, dtype=np.int64),
+            self._leaf_ids,
             np.array([self._ni_of[v] for v in leaves], dtype=np.int32),
-            np.array([self._leaf_pid[v] for v in leaves], dtype=np.int32),
+            np.arange(len(leaves), dtype=np.int32),
         )
 
     def _precompute_least_loaded(self):
@@ -465,26 +456,16 @@ class CEngine:
     def _precompute_leaf_sizes(self):
         """Kinds 2-3 on unrelated endpoints: the n x leaves ``p_{j,v}``
         column (row-major by job, ``inf`` = forbidden) and, under SJF,
-        the leaf heaps' ranks.  A rank only has to order a leaf's jobs
-        like the engine's ``(p_{j,v}, release, id)`` keys: the dense rank
-        of ``p_{j,v}`` over the whole column does, because heap entries
-        break rank ties by job index, and jobs are in ``(release, id)``
-        order."""
-        leaves = self.instance.tree.leaves
-        n, n_leaves = len(self._jobs), len(leaves)
-        get = itemgetter(*leaves)
-        rows = (get(j.leaf_sizes) for j in self._jobs)
-        if n_leaves == 1:
-            rows = ((v,) for v in rows)
-        p_jv = np.fromiter(
-            chain.from_iterable(rows), dtype=np.float64, count=n * n_leaves
-        )
+        the leaf heaps' ranks — both kept by the instance.  A rank only
+        has to order a leaf's jobs like the engine's
+        ``(p_{j,v}, release, id)`` keys: the dense rank of ``p_{j,v}``
+        over the whole column does, because heap entries break rank ties
+        by job index, and jobs are in ``(release, id)`` order."""
+        instance = self.instance
         rank_jv = None
         if self._prio_kind == 1:
-            # searchsorted over the distinct values: no n x leaves sort
-            # permutation is ever materialised.
-            rank_jv = np.searchsorted(np.unique(p_jv), p_jv).astype(np.int32)
-        return p_jv, rank_jv
+            rank_jv = instance.leaf_size_ranks().ravel()
+        return instance.leaf_size_matrix().ravel(), rank_jv
 
     def _precompute_greedy(self):
         """Kinds 1 and 3: the root-adjacent entries of
@@ -516,18 +497,24 @@ class CEngine:
         node index (outages) or job index (cancels; ``-1`` for ids the
         instance never releases, which the kernel treats as no-ops)."""
         ni_of = self._ni_of
-        idx_of = {jid: i for i, jid in enumerate(self._ids_a.tolist())}
         kinds, args = [], []
         for ev in self._dyn:
             kinds.append(_EV_KIND[type(ev)])
-            if type(ev) is Cancel:
-                args.append(idx_of.get(ev.job_id, -1))
-            else:
-                args.append(ni_of[ev.node])
+            args.append(ev.job_id if type(ev) is Cancel else ni_of[ev.node])
+        kind = np.array(kinds, dtype=np.int32)
+        arg = np.array(args, dtype=np.int64)
+        cancel = kind == _EV_KIND[Cancel]
+        if cancel.any():
+            # Job index of each cancelled id, through the id column.
+            ids = self._ids_a
+            by_id = np.argsort(ids)
+            want = arg[cancel]
+            pos = by_id[np.searchsorted(ids, want, sorter=by_id).clip(max=len(ids) - 1)]
+            arg[cancel] = np.where(ids[pos] == want, pos, -1)
         return (
             np.array([ev.time for ev in self._dyn], dtype=np.float64),
-            np.array(kinds, dtype=np.int32),
-            np.array(args, dtype=np.int32),
+            kind,
+            arg.astype(np.int32),
         )
 
     # ------------------------------------------------------------------
@@ -538,7 +525,7 @@ class CEngine:
             raise SimulationError("a CEngine instance can only run once")
         self._finished = True
 
-        jobs = self._jobs
+        jobs = self.instance.jobs
         n = len(jobs)
         kind = self._kind
         e_cols = self._e_cols
@@ -549,11 +536,10 @@ class CEngine:
 
         job_path_id = p_leaf = ftol_leaf = leaf_rank = None
         if kind == 0:
-            # The policy replay lives in run(), not construction: it
-            # consumes the policy object's state (RNG draws, round-robin
-            # counters) exactly as a live arrival loop would.
-            job_path_id, p_leaf, ftol_leaf = self._precompute_static()
-            leaf_rank = self._leaf_ranks(p_leaf)
+            # The bulk rule runs here, not at construction: it consumes
+            # the policy object's state (RNG draws, round-robin counter)
+            # exactly as a live arrival loop would.
+            job_path_id, p_leaf, ftol_leaf, leaf_rank = self._precompute_static()
 
         path_len = np.array([len(p) for p in self._paths], dtype=np.int32)
         path_off = np.zeros(len(self._paths), dtype=np.int32)

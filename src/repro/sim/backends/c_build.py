@@ -203,6 +203,11 @@ def build_library(
 # One entry per loaded library path: ctypes handles stay alive for the
 # process, so repeated simulate() calls pay zero build/load cost.
 _LOADED: dict[Path, ctypes.CDLL] = {}
+# The library load_kernel() returned, per value of everything that
+# find_compiler() and cache_dir() read: a warm load reads, hashes and
+# stats no file.  Cleared by _reset_probe().
+_WARM: dict[tuple[str | None, ...], ctypes.CDLL] = {}
+_WARM_ENV = (_ENV_DISABLE, _ENV_CC, _ENV_CACHE, "PATH")
 # Compiler command -> its ``--version`` identity line (None: won't run).
 _CC_VERSION: dict[str, str | None] = {}
 # Memoized availability probe: (ok, reason).  Reset by tests that
@@ -219,10 +224,20 @@ def _configure(dll: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def load_kernel() -> ctypes.CDLL:
-    """Build (if needed), load and ABI-check the kernel library."""
+    """Build (if needed), load and ABI-check the kernel library.
+
+    Memoized per process and per value of ``REPRO_NO_CKERNEL``,
+    ``REPRO_CC``, ``REPRO_CKERNEL_CACHE`` and ``PATH``: a repeat call
+    under the same environment returns the loaded library at once.
+    """
+    key = tuple(map(os.environ.get, _WARM_ENV))
+    dll = _WARM.get(key)
+    if dll is not None:
+        return dll
     lib = build_library()
     dll = _LOADED.get(lib)
     if dll is not None:
+        _WARM[key] = dll
         return dll
     try:
         dll = _configure(ctypes.CDLL(str(lib)))
@@ -235,6 +250,7 @@ def load_kernel() -> ctypes.CDLL:
             f"this build expects {ABI_VERSION}"
         )
     _LOADED[lib] = dll
+    _WARM[key] = dll
     return dll
 
 
@@ -257,11 +273,12 @@ def availability() -> tuple[bool, str | None]:
 
 
 def _reset_probe() -> None:
-    """Forget the memoized availability verdict and compiler identities
-    (test hook)."""
+    """Forget the memoized availability verdict, compiler identities and
+    warm loads (test hook)."""
     global _PROBE
     _PROBE = None
     _CC_VERSION.clear()
+    _WARM.clear()
 
 
 def toolchain_info() -> dict:

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import WorkloadError
 from repro.network import builders
-from repro.sim.engine import PriorityFn, fifo_priority, sjf_priority
+from repro.sim.engine import PriorityFn, fifo_priority, simulate, sjf_priority
 from repro.sim.speed import SpeedProfile
 from repro.workload.arrivals import (
     adversarial_bursts,
@@ -96,7 +96,10 @@ PRIORITIES = ("sjf", "fifo")
 #: stream byte-for-byte, the rest layer an :class:`EventSchedule` drawn
 #: from an *independent* sub-stream on top of the same instance (so a
 #: case and its event-free twin share jobs, tree, and assignment grid).
-EVENT_FAMILIES = ("none", "outages", "cancels", "mixed")
+#: ``preempted`` is one cancel aimed at a job waiting at its leaf after
+#: partial service there — the only cancel whose fractional-flow term is
+#: not zero, which random cancel times almost never hit.
+EVENT_FAMILIES = ("none", "outages", "cancels", "mixed", "preempted")
 
 _SPEED_PROFILES = {
     "unit": lambda: None,
@@ -290,6 +293,34 @@ def _make_events(config: CaseConfig, instance: Instance) -> EventSchedule | None
     return EventSchedule(events)
 
 
+def _cancel_preempted(case: FuzzCase) -> EventSchedule | None:
+    """One cancel while a job waits at its leaf after partial service
+    there, or ``None`` when no job is ever preempted at its leaf.
+
+    The windows come from the case's own event-free run, which the run
+    with the cancel matches up to the cancel instant; the cancel lands
+    mid-window.
+    """
+    result = simulate(
+        case.instance, case.policy(), speeds=case.speeds(),
+        priority=case.priority_fn(), record_segments=True,
+    )
+    last: dict[int, float] = {}
+    windows = []
+    for seg in result.segments:  # each job's in time order
+        if seg.node != result.records[seg.job_id].leaf:
+            continue
+        end = last.get(seg.job_id)
+        if end is not None and seg.start > end:
+            windows.append((end, seg.start, seg.job_id))
+        last[seg.job_id] = seg.end
+    if not windows:
+        return None
+    rng = np.random.default_rng([case.config.seed, 0xD1CE])
+    end, start, job_id = windows[int(rng.integers(len(windows)))]
+    return EventSchedule([Cancel((end + start) / 2, job_id)])
+
+
 def build_case(config: CaseConfig) -> FuzzCase:
     """Materialise a :class:`CaseConfig` into a runnable case.
 
@@ -314,12 +345,12 @@ def build_case(config: CaseConfig) -> FuzzCase:
         for job in instance.jobs:
             feasible = instance.feasible_leaves(job)
             fixed[job.id] = int(feasible[int(rng.integers(len(feasible)))])
-    return FuzzCase(
-        config=config,
-        instance=instance,
-        fixed_assignment=fixed,
-        events=_make_events(config, instance),
-    )
+    case = FuzzCase(config=config, instance=instance, fixed_assignment=fixed)
+    if config.events == "preempted":
+        case.events = _cancel_preempted(case)
+    else:
+        case.events = _make_events(config, instance)
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +400,10 @@ def iter_cases(
     arrival patterns share release instants).
 
     With ``events=True`` the deck gains an event-bearing slice (outages
-    on stalls-prone spines, cancels against ties, a mixed schedule) and
-    sampled cases draw a dynamic-event family (~55% carry events).  The
+    on stalls-prone spines, cancels against ties, a mixed schedule, a
+    cancel of a job preempted at its leaf) and sampled cases draw a
+    dynamic-event family (~55%; a ``preempted`` draw carries no event
+    when no job of its run is ever preempted at its leaf).  The
     default stream is untouched — every rng draw of the ``events=False``
     stream happens in the same order, so historical corpora and golden
     registries replay byte-identically.
@@ -407,6 +440,7 @@ def iter_cases(
                 0, "figure1", 8, "poisson", "pareto",
                 policy="fixed", events="cancels",
             ),
+            CaseConfig(0, "spine2", 10, "poisson", "uniform", events="preempted"),
         ]
     count = 0
     for config in deck:
@@ -437,7 +471,7 @@ def iter_cases(
             # sequence must stay byte-identical to the historical one.
             config = replace(
                 config,
-                events=_choice(rng, EVENT_FAMILIES, (45, 20, 20, 15)),
+                events=_choice(rng, EVENT_FAMILIES, (45, 15, 15, 10, 15)),
             )
         yield build_case(config)
         count += 1

@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,6 +53,11 @@ class Instance:
         requires no job to carry them.
     name:
         Optional label used in experiment reports.
+
+    The derived matrices (:meth:`leaf_size_matrix`,
+    :meth:`leaf_size_ranks`) are built on first use and kept, read-only
+    and unpickled, outside ``==`` and ``repr``: the tree and the jobs
+    are immutable, so they never go stale.
     """
 
     tree: TreeNetwork
@@ -96,6 +103,86 @@ class Instance:
                     raise WorkloadError(
                         f"job {job.id}: no feasible leaf below origin {job.origin}"
                     )
+
+    def __getstate__(self):
+        # The kept matrices stay behind: unpickled arrays come back
+        # writable, and they are cheap to rebuild.
+        state = dict(vars(self))
+        state.pop("_kept", None)
+        return state
+
+    def _keep(self, name: str, build) -> np.ndarray:
+        """``build()`` made read-only, built on first use and kept."""
+        kept = vars(self).setdefault("_kept", {})
+        arr = kept.get(name)
+        if arr is None:
+            arr = build()
+            arr.flags.writeable = False
+            kept[name] = arr
+        return arr
+
+    # ------------------------------------------------------------------
+    # job columns
+    # ------------------------------------------------------------------
+    def leaf_size_matrix(self) -> np.ndarray:
+        """``p_{j,v}`` of every job on every leaf: a read-only
+        ``n x leaves`` float array, rows in release order, columns in
+        ``tree.leaves`` order, ``inf`` where forbidden.  In the identical
+        setting each row repeats ``p_j`` (a broadcast view)."""
+        return self._keep("p_jv", self._build_leaf_size_matrix)
+
+    def _build_leaf_size_matrix(self) -> np.ndarray:
+        n, leaves = len(self.jobs), self.tree.leaves
+        if self.setting is Setting.IDENTICAL:
+            return np.broadcast_to(self.jobs.sizes()[:, None], (n, len(leaves)))
+        get = itemgetter(*leaves)
+        rows = (get(job.leaf_sizes) for job in self.jobs)
+        if len(leaves) == 1:
+            rows = ((p,) for p in rows)
+        p_jv = np.fromiter(
+            chain.from_iterable(rows), dtype=np.float64, count=n * len(leaves)
+        )
+        return p_jv.reshape(n, len(leaves))
+
+    def leaf_size_ranks(self) -> np.ndarray:
+        """The dense rank of each :meth:`leaf_size_matrix` entry among
+        all its distinct values, as a read-only int32 array of the same
+        shape: equal sizes share a rank, and ranks order like sizes."""
+        def build():
+            p_jv = self.leaf_size_matrix()
+            # searchsorted over the distinct values: no n x leaves sort
+            # permutation is ever materialised.
+            return np.searchsorted(np.unique(p_jv), p_jv).astype(np.int32)
+
+        return self._keep("rank_jv", build)
+
+    def router_origins(self) -> np.ndarray:
+        """Whether each job (in release order) originates at a router
+        rather than the root."""
+        origins = self.jobs.origins()
+        return (origins >= 0) & (origins != self.tree.root)
+
+    def feasible_mask(self) -> np.ndarray | None:
+        """:meth:`feasible_leaves` of every job at once: an ``n x leaves``
+        boolean array, rows in release order, columns in ``tree.leaves``
+        order — or ``None`` when every job may run on every leaf
+        (identical endpoints, root origins)."""
+        tree = self.tree
+        origins = self.jobs.origins()
+        own = self.router_origins()
+        mask = None
+        if own.any():
+            keys, index = np.unique(
+                np.where(own, origins, tree.root), return_inverse=True
+            )
+            under = np.array(
+                [np.isin(tree.leaves, tree.leaves_under(int(k))) for k in keys]
+            )
+            mask = under[index]
+        if self.setting is Setting.UNRELATED:
+            finite = np.isfinite(self.leaf_size_matrix())
+            mask = finite if mask is None else mask & finite
+        return mask
 
     # ------------------------------------------------------------------
     # the paper's processing-time notation

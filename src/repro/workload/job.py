@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,6 +41,9 @@ class Job:
         ``None`` in the identical setting.  In the unrelated-endpoint
         setting, a mapping ``leaf id -> p_{j,v}``; ``math.inf`` marks a
         leaf the job cannot run on.  At least one leaf must be finite.
+        Treated as immutable like the job itself: an
+        :class:`~repro.workload.instance.Instance` keeps a matrix built
+        from these mappings, so mutating one afterwards leaves it stale.
     origin:
         Node the job's data is created at.  ``None`` (the default) means
         the root — the paper's model.  A router id enables the
@@ -153,9 +157,15 @@ class JobSet:
     Jobs are stored sorted by ``(release, id)``; duplicate ids are
     rejected.  The paper assumes distinct arrival times for analysis but
     the implementation tolerates ties, resolving them by id.
+
+    The per-job columns (:meth:`releases`, :meth:`sizes`,
+    :meth:`job_ids`, :meth:`policy_sizes`, :meth:`origins`,
+    :meth:`size_ranks`) are built on first use and kept, read-only: jobs
+    are frozen, so a column never goes stale.  The kept columns are not
+    pickled.
     """
 
-    __slots__ = ("_jobs", "_by_id")
+    __slots__ = ("_jobs", "_by_id", "_kept")
 
     def __init__(self, jobs: Sequence[Job]) -> None:
         ordered = sorted(jobs, key=lambda j: (j.release, j.id))
@@ -191,13 +201,76 @@ class JobSet:
         """Job ids in release order."""
         return tuple(j.id for j in self._jobs)
 
+    def _keep(self, name: str, build) -> np.ndarray:
+        """``build()`` made read-only, built on first use and kept."""
+        try:
+            kept = self._kept
+        except AttributeError:  # new or unpickled: nothing built yet
+            kept = self._kept = {}
+        col = kept.get(name)
+        if col is None:
+            col = build()
+            col.flags.writeable = False
+            kept[name] = col
+        return col
+
+    def _column(self, attr: str, dtype) -> np.ndarray:
+        """``job.<attr>`` over the jobs in release order, kept."""
+        return self._keep(attr, lambda: np.fromiter(
+            map(attrgetter(attr), self._jobs), dtype=dtype, count=len(self._jobs)
+        ))
+
+    def __getstate__(self):
+        # The kept columns stay behind: unpickled arrays come back
+        # writable, and they are cheap to rebuild.
+        return None, {"_jobs": self._jobs, "_by_id": self._by_id}
+
     def releases(self) -> np.ndarray:
-        """Release times in release order, as a float array."""
-        return np.array([j.release for j in self._jobs], dtype=float)
+        """Release times in release order, as a read-only float array."""
+        return self._column("release", np.float64)
 
     def sizes(self) -> np.ndarray:
-        """Router sizes ``p_j`` in release order, as a float array."""
-        return np.array([j.size for j in self._jobs], dtype=float)
+        """Router sizes ``p_j`` in release order, as a read-only float
+        array."""
+        return self._column("size", np.float64)
+
+    def job_ids(self) -> np.ndarray:
+        """Job ids in release order, as a read-only int64 array."""
+        return self._column("id", np.int64)
+
+    def policy_sizes(self) -> np.ndarray:
+        """:attr:`Job.policy_size` in release order — what assignment
+        policies may read — as a read-only float array (:meth:`sizes`
+        itself when no job carries an estimate)."""
+        def build():
+            estimates = list(map(attrgetter("size_estimate"), self._jobs))
+            if estimates.count(None) == len(estimates):
+                return self.sizes()
+            return self._column("policy_size", np.float64)
+
+        return self._keep("policy_sizes", build)
+
+    def origins(self) -> np.ndarray:
+        """Job origins in release order, as a read-only int64 array;
+        ``-1`` marks the default (root) origin."""
+        def build():
+            origins = list(map(attrgetter("origin"), self._jobs))
+            if origins.count(None) == len(origins):
+                return np.full(len(origins), -1, dtype=np.int64)
+            return np.array([-1 if o is None else o for o in origins], dtype=np.int64)
+
+        return self._keep("origin", build)
+
+    def size_ranks(self) -> np.ndarray:
+        """Each job's position in ``(size, release, id)`` order — the
+        SJF order of router queues — as a read-only int64 array."""
+        def build():
+            n = len(self._jobs)
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.lexsort((self.job_ids(), self.releases(), self.sizes()))] = np.arange(n)
+            return rank
+
+        return self._keep("size_rank", build)
 
     def total_volume(self) -> float:
         """Sum of router sizes (one hop's worth of total work)."""

@@ -234,6 +234,26 @@ class TestBuildCache:
         monkeypatch.setattr(subprocess, "run", no_process)
         CEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
 
+    @needs_c
+    def test_warm_load_opens_no_file(self, monkeypatch):
+        # A warm load neither re-reads nor re-hashes the source: it
+        # returns the library the same environment already loaded.
+        dll = c_build.load_kernel()
+
+        def no_source():
+            raise AssertionError("read the kernel source on a warm load")
+
+        monkeypatch.setattr(c_build, "source_path", no_source)
+        assert c_build.load_kernel() is dll
+        CEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
+
+    @needs_c
+    def test_disabling_after_a_warm_load_still_raises(self, monkeypatch):
+        c_build.load_kernel()
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        with pytest.raises(c_build.CKernelUnavailable, match="no C compiler"):
+            c_build.load_kernel()
+
     def test_reset_probe_forgets_compiler_identities(self, monkeypatch):
         calls = []
 

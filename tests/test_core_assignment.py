@@ -13,6 +13,7 @@ from repro.core.assignment import (
 )
 from repro.exceptions import AssignmentError
 from repro.network.builders import broomstick_tree, caterpillar_tree, star_of_paths
+from repro.sim import backends
 from repro.sim.engine import simulate
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job, JobSet
@@ -146,5 +147,6 @@ class TestFixedAssignment:
     def test_missing_job_rejected(self, two_path_tree):
         jobs = JobSet([Job(id=0, release=0.0, size=1.0)])
         instance = Instance(two_path_tree, jobs, Setting.IDENTICAL)
-        with pytest.raises(AssignmentError, match="no fixed assignment"):
-            simulate(instance, FixedAssignment({}))
+        for backend in backends.available_backends():
+            with pytest.raises(AssignmentError, match="no fixed assignment"):
+                backends.simulate(instance, FixedAssignment({}), backend=backend)

@@ -8,7 +8,8 @@ node order, trees whose root-adjacent node is itself a leaf, tie-heavy
 sizes, and outages that block every feasible leaf of a job.  The policy
 fast paths (``_feasible_leaves`` without a per-leaf scan, closest over a
 per-origin ``(leaf, d_v - 1)`` layout) must equal the definitions they
-replace.
+replace, and each static policy's bulk rule (``assign_all``) must equal
+one ``assign`` per job, policy state included.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from repro import api
 from repro.baselines.policies import (
     ClosestLeafAssignment,
     LeastLoadedAssignment,
+    RandomAssignment,
+    RoundRobinAssignment,
     _feasible_leaves,
 )
 from repro.core.assignment import (
+    FixedAssignment,
     GreedyIdenticalAssignment,
     GreedyUnrelatedAssignment,
 )
@@ -34,6 +38,7 @@ from repro.exceptions import AssignmentError
 from repro.network.builders import (
     caterpillar_tree,
     datacenter_tree,
+    kary_tree,
     random_tree,
     tree_from_parent_map,
 )
@@ -312,6 +317,44 @@ def _job_on_tree(draw):
     return SimpleNamespace(tree=tree, instance=instance), job
 
 
+@st.composite
+def _instance_on_tree(draw):
+    """A few jobs on a drawn tree — ``random_tree`` (leaf ids out of
+    preorder) or a fixed family — with mixed origins (``None``, the
+    root, routers), and either identical sizes (some with estimates) or
+    per-leaf sizes with forbidden leaves."""
+    if draw(st.booleans()):
+        tree = random_tree(draw(st.integers(4, 16)), rng=draw(st.integers(0, 999)))
+    else:
+        tree = draw(st.sampled_from([
+            datacenter_tree(2, 2, 3), caterpillar_tree(3, 2), kary_tree(2, 3),
+        ]))
+    origins = [None, tree.root, *tree.routers]
+    unrelated = draw(st.booleans())
+    jobs = []
+    for i in range(draw(st.integers(1, 12))):
+        origin = draw(st.sampled_from(origins))
+        size = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        leaf_sizes = estimate = None
+        if unrelated:
+            under = tree.leaves if origin in (None, tree.root) else tree.leaves_under(origin)
+            leaf_sizes = {v: draw(st.sampled_from(_P_GRID)) for v in tree.leaves}
+            leaf_sizes[draw(st.sampled_from(under))] = size  # one feasible leaf
+        elif draw(st.booleans()):
+            estimate = draw(st.sampled_from([0.25, 1.5, 5.0]))
+        release = float(draw(st.integers(0, 4)))
+        jobs.append(Job(i, release, size, leaf_sizes, origin, estimate))
+    setting = Setting.UNRELATED if unrelated else Setting.IDENTICAL
+    return Instance(tree, JobSet(jobs), setting)
+
+
+def _policy_state(policy):
+    return (
+        policy.rng.bit_generator.state if hasattr(policy, "rng") else None,
+        getattr(policy, "_next", None),
+    )
+
+
 class TestStaticFastPaths:
     @settings(max_examples=150, deadline=None)
     @given(_job_on_tree())
@@ -345,3 +388,141 @@ class TestStaticFastPaths:
         job = Job(0, 0.0, 1.0, leaf_sizes={2: math.inf, 3: math.inf, 9: 1.0})
         with pytest.raises(AssignmentError, match="no feasible leaf"):
             ClosestLeafAssignment().assign(SimpleNamespace(tree=tree), job, 0.0)
+
+    @staticmethod
+    def _policies(instance, seed, start):
+        def round_robin():
+            policy = RoundRobinAssignment()
+            policy._next = start
+            return policy
+
+        rng = np.random.default_rng(seed)
+        fixed = {
+            job.id: int(rng.choice(instance.feasible_leaves(job)))
+            for job in instance.jobs
+        }
+        return {
+            "closest": ClosestLeafAssignment,
+            "random": lambda: RandomAssignment(seed),
+            "round-robin": round_robin,
+            "fixed": lambda: FixedAssignment(fixed),
+        }
+
+    # -- bulk rules: assign_all(instance) == one assign per masked job in
+    # release order, and the policy ends in the same state.
+    @settings(max_examples=200, deadline=None)
+    @given(_instance_on_tree(), st.integers(0, 2**31), st.integers(0, 50))
+    def test_bulk_rule_equals_the_assign_loop(self, instance, seed, start):
+        view = SimpleNamespace(tree=instance.tree, instance=instance)
+        for name, make in self._policies(instance, seed, start).items():
+            looped, bulk = make(), make()
+            expected = [
+                looped.assign(view, job.masked(), job.release)
+                for job in instance.jobs
+            ]
+            got = bulk.assign_all(instance)
+            assert got.tolist() == expected, name
+            assert _policy_state(bulk) == _policy_state(looped), name
+
+    def test_fixed_bulk_rule_names_the_first_missing_job(self):
+        tree = datacenter_tree(1, 2, 2)
+        jobs = JobSet([Job(i, float(i), 1.0) for i in range(4)])
+        instance = Instance(tree, jobs, Setting.IDENTICAL)
+        leaf = tree.leaves[0]
+        with pytest.raises(AssignmentError, match="recorded for job 1$"):
+            FixedAssignment({0: leaf, 3: leaf}).assign_all(instance)
+
+
+@needs_c
+class TestPolicyReuse:
+    @pytest.mark.parametrize(
+        "make", [lambda: RandomAssignment(5), RoundRobinAssignment],
+        ids=["random", "round-robin"],
+    )
+    def test_one_policy_object_across_two_calls(self, make):
+        # The second call continues from the state the first left, on
+        # either backend.
+        inst = _instance(datacenter_tree(2, 2, 3), 150, matrix="restricted")
+        runs = {}
+        for backend in ("python", "c"):
+            policy = make()
+            runs[backend] = [
+                backends.simulate(inst, policy, backend=backend).records
+                for _ in range(2)
+            ]
+        assert runs["python"] == runs["c"]
+        assert runs["c"][0] != runs["c"][1]
+
+
+def _error_cases():
+    """``(instance, mapping)`` per assignment fault the engine rejects."""
+    tree = kary_tree(2, 3)  # routers 1-6, leaves 7-14
+    pod, other = tree.root_children
+    identical = Instance(
+        tree, JobSet([Job(i, float(i), 1.0) for i in range(3)]), Setting.IDENTICAL
+    )
+    leaf = tree.leaves[0]
+    forbidden = {v: (math.inf if v == leaf else 1.0) for v in tree.leaves}
+    unrelated = Instance(
+        tree,
+        JobSet([Job(i, float(i), 1.0, leaf_sizes=forbidden) for i in range(3)]),
+        Setting.UNRELATED,
+    )
+    origins = Instance(
+        tree,
+        JobSet([Job(0, 0.0, 1.0), Job(1, 1.0, 1.0, origin=pod), Job(2, 2.0, 1.0)]),
+        Setting.IDENTICAL,
+    )
+    outside = tree.leaves_under(other)[0]
+    ok = tree.leaves[-1]
+    return {
+        "router": (identical, {0: ok, 1: pod, 2: ok}),
+        "unknown-node": (identical, {0: ok, 1: 999, 2: ok}),
+        "missing-job": (identical, {0: ok, 2: ok}),
+        "forbidden-leaf": (unrelated, {0: ok, 1: leaf, 2: ok}),
+        "outside-origin": (origins, {0: ok, 1: outside, 2: ok}),
+    }
+
+
+def _error_messages(instance, mapping):
+    """The ``AssignmentError`` message of a fixed-map run, python then c."""
+    messages = []
+    for backend in ("python", "c"):
+        with pytest.raises(AssignmentError) as info:
+            backends.simulate(instance, FixedAssignment(mapping), backend=backend)
+        messages.append(str(info.value))
+    return messages
+
+
+@needs_c
+class TestAssignmentErrors:
+    @pytest.mark.parametrize("case", sorted(_error_cases()))
+    def test_same_error_on_both_backends(self, case):
+        instance, mapping = _error_cases()[case]
+        CEngine(instance, FixedAssignment(mapping))  # planned, not declined
+        python, c = _error_messages(instance, mapping)
+        assert python == c
+        assert "job 1" in python
+
+    @pytest.mark.parametrize("odd", [None, "7", 7.5, 1 << 40])
+    def test_odd_fixed_ids_fail_alike(self, odd):
+        instance, mapping = _error_cases()["router"]
+        python, c = _error_messages(instance, {**mapping, 1: odd})
+        assert python == c
+
+    def test_sparse_node_ids(self):
+        # Leaf ids past the kernel plan's dense lookup table.
+        scale = 1 << 20
+        parents = datacenter_tree(1, 2, 2).parent_map()
+        tree = tree_from_parent_map({
+            v * scale: None if p is None else p * scale for v, p in parents.items()
+        })
+        jobs = JobSet([Job(i, i / 2, 1.0 + i % 3) for i in range(30)])
+        inst = Instance(tree, jobs, Setting.IDENTICAL)
+        for make in (ClosestLeafAssignment, lambda: RandomAssignment(3)):
+            a, b = (backends.simulate(inst, make(), backend=bk) for bk in ("python", "c"))
+            assert a.records == b.records
+        leaf = tree.leaves[0]
+        mapping = {i: leaf for i in range(30)} | {4: leaf + 1}
+        with pytest.raises(AssignmentError, match=f"job 4 to non-leaf node {leaf + 1}$"):
+            backends.simulate(inst, FixedAssignment(mapping), backend="c")

@@ -8,6 +8,7 @@ from repro.baselines.policies import RandomAssignment, RoundRobinAssignment
 from repro.core.assignment import FixedAssignment, GreedyIdenticalAssignment
 from repro.exceptions import AssignmentError, WorkloadError
 from repro.network.builders import datacenter_tree, kary_tree
+from repro.sim import backends
 from repro.sim.engine import simulate
 from repro.sim.invariants import validate_schedule
 from repro.workload.instance import Instance, Setting
@@ -92,8 +93,11 @@ class TestPathsAndEngine:
         outside = tree.leaves_under(tree.root_children[1])[0]
         jobs = JobSet([Job(id=0, release=0.0, size=1.0, origin=origin)])
         instance = Instance(tree, jobs, Setting.IDENTICAL)
-        with pytest.raises(AssignmentError, match="outside its origin"):
-            simulate(instance, FixedAssignment({0: outside}))
+        for backend in backends.available_backends():
+            with pytest.raises(AssignmentError, match="outside its origin"):
+                backends.simulate(
+                    instance, FixedAssignment({0: outside}), backend=backend
+                )
 
     def test_origin_job_shares_queues_with_root_jobs(self, tree):
         """An origin job must contend with root-origin traffic on shared

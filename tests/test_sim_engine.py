@@ -214,6 +214,11 @@ class TestEngineContracts:
         with pytest.raises(AssignmentError, match="non-leaf"):
             simulate(instance, FixedAssignment({0: 1}))
 
+    def test_unknown_node_assignment_rejected(self):
+        instance = chain_instance([Job(id=0, release=0.0, size=1.0)])
+        with pytest.raises(AssignmentError, match="non-leaf node 99$"):
+            simulate(instance, FixedAssignment({0: 99}))
+
     def test_forbidden_leaf_assignment_rejected(self, two_path_tree):
         jobs = JobSet(
             [Job(id=0, release=0.0, size=1.0, leaf_sizes={2: math.inf, 4: 1.0})]

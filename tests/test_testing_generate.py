@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import WorkloadError
+from repro.sim.engine import simulate
 from repro.testing.corpus import case_digest
 from repro.testing.generate import (
     CaseConfig,
@@ -102,6 +103,30 @@ class TestStreamShape:
 
     def test_max_cases_bounds_the_stream(self):
         assert len(list(iter_cases(0, 17))) == 17
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_events_stream_cancels_a_job_preempted_at_its_leaf(self, seed):
+        # The one cancel whose fractional-flow term is not zero: the job
+        # has had part of its leaf service and waits there, preempted.
+        hits = 0
+        for case in iter_cases(seed, 200, events=True):
+            if case.config.events != "preempted" or case.events is None:
+                continue
+            (cancel,) = case.events.events
+            result = simulate(
+                case.instance, case.policy(), speeds=case.speeds(),
+                priority=case.priority_fn(), record_segments=True,
+                events=case.events,
+            )
+            record = result.records[cancel.job_id]
+            assert record.cancelled_at == cancel.time
+            served = [
+                s for s in result.segments
+                if s.job_id == cancel.job_id and s.node == record.leaf
+            ]
+            assert served and served[-1].end < cancel.time
+            hits += 1
+        assert hits >= 2
 
 
 def test_unknown_grid_value_rejected():

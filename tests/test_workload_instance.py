@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -75,6 +77,50 @@ class TestNotation:
         )
         inst = Instance(two_path_tree, jobs, Setting.UNRELATED)
         assert inst.feasible_leaves(jobs.by_id(0)) == (4,)
+
+
+class TestKeptMatrices:
+    def _instance(self, two_path_tree):
+        jobs = JobSet([
+            Job(id=0, release=0.0, size=1.0, leaf_sizes={2: 3.0, 4: math.inf}),
+            Job(id=1, release=1.0, size=2.0, leaf_sizes={2: 1.0, 4: 3.0}),
+        ])
+        return Instance(two_path_tree, jobs, Setting.UNRELATED)
+
+    def test_leaf_size_matrix_and_ranks(self, two_path_tree):
+        inst = self._instance(two_path_tree)
+        assert inst.tree.leaves == (2, 4)
+        assert inst.leaf_size_matrix().tolist() == [[3.0, math.inf], [1.0, 3.0]]
+        assert inst.leaf_size_ranks().tolist() == [[1, 2], [0, 1]]
+        assert inst.feasible_mask().tolist() == [[True, False], [True, True]]
+        assert inst.leaf_size_matrix() is inst.leaf_size_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            inst.leaf_size_ranks()[0, 0] = 5
+
+    def test_feasible_mask_matches_feasible_leaves(self):
+        tree = kary_tree(2, 2)  # routers 1-2, leaves 3-6
+        jobs = JobSet([
+            Job(id=0, release=0.0, size=1.0),
+            Job(id=1, release=0.0, size=1.0, origin=2),
+            Job(id=2, release=0.0, size=1.0, origin=0),
+        ])
+        inst = Instance(tree, jobs, Setting.IDENTICAL)
+        mask = inst.feasible_mask()
+        for job, row in zip(inst.jobs, mask):
+            kept = tuple(v for v, ok in zip(tree.leaves, row) if ok)
+            assert kept == inst.feasible_leaves(job)
+        root_only = Instance(tree, JobSet([Job(id=0, release=0.0, size=1.0)]), Setting.IDENTICAL)
+        assert root_only.feasible_mask() is None
+
+    def test_kept_matrices_are_outside_eq_repr_and_pickle(self, two_path_tree):
+        inst = self._instance(two_path_tree)
+        blank = pickle.dumps(inst)
+        twin = dataclasses.replace(inst)
+        inst.leaf_size_ranks()
+        assert inst == twin and repr(inst) == repr(twin)
+        assert pickle.dumps(inst) == blank
+        clone = pickle.loads(blank)
+        assert not clone.leaf_size_matrix().flags.writeable
 
 
 class TestLoadAccounting:

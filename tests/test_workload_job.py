@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import math
 
 import numpy as np
@@ -95,6 +97,27 @@ class TestJobSet:
         assert np.allclose(js.sizes(), [2, 2, 2, 2])
         assert js.total_volume() == 8.0
         assert js.time_horizon() == 3.0
+
+    def test_columns_are_kept_read_only_and_not_pickled(self):
+        js = JobSet([
+            Job(id=7, release=1.0, size=2.0, origin=3, size_estimate=0.5),
+            Job(id=2, release=0.0, size=4.0),
+        ])
+        blank = pickle.dumps(js)
+        assert js.job_ids().tolist() == [2, 7]
+        assert js.releases().tolist() == [0.0, 1.0]
+        assert js.sizes().tolist() == [4.0, 2.0]
+        assert js.policy_sizes().tolist() == [4.0, 0.5]
+        assert js.origins().tolist() == [-1, 3]
+        assert js.sizes() is js.sizes()  # built once
+        with pytest.raises(ValueError, match="read-only"):
+            js.releases()[0] = 9.0
+        # The kept columns stay out of the pickle: an unpickled set
+        # builds its own, read-only again.
+        assert pickle.dumps(js) == blank
+        clone = pickle.loads(blank)
+        assert clone.sizes().tolist() == [4.0, 2.0]
+        assert not clone.sizes().flags.writeable
 
     def test_empty_set(self):
         js = JobSet([])
