@@ -31,7 +31,6 @@ deep-module users interoperate freely.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -397,10 +396,20 @@ def open_system(
         Resolved exactly as in :func:`simulate`.
     backend:
         Resolved through the same shared resolver as :func:`simulate`
-        (``backend=`` kwarg > ``REPRO_BACKEND`` > ``"python"``) —
-        but streaming always runs on the python engine, which is the
-        only backend with the per-event admission/eviction hooks; a
-        non-python selection warns and is ignored.
+        (``backend=`` kwarg > ``REPRO_BACKEND`` > ``"python"``).  On
+        ``"c"`` the session keeps its state in the compiled kernel
+        across steps whenever the kernel plans the policy, priority and
+        setting (every built-in policy and priority, as for
+        :func:`simulate`); a session asking for ``record_points``,
+        ``record_spans``, ``check_invariants``, ``events`` or
+        ``evict=False`` — or one the kernel cannot plan — warns with
+        the reason and runs on the python engine, the only one with
+        per-event traces, invariant audits and dynamic events in
+        streams.  Both engines produce the same snapshots, windows,
+        callbacks and final result.  A router-origin job reaching a
+        greedy or least-loaded c session raises
+        :class:`~repro.exceptions.SimulationError`: those kernel plans
+        dispatch root-origin jobs only.
     window / keep_windows / check_invariants / record_points /
     record_spans / histogram / events / on_finish / on_cancel / evict:
         Forwarded to :class:`~repro.service.session.StreamSession`.
@@ -432,15 +441,6 @@ def open_system(
         arrivals = instance.jobs
     if speeds is not None and speed != 1.0:
         raise SimulationError("pass either speed or speeds, not both")
-    choice = backends.select_backend(backend)
-    if choice.effective != "python":
-        warnings.warn(
-            f"open_system streams through the python engine (the only "
-            f"backend with per-event admission/eviction hooks); ignoring "
-            f"backend {choice.effective!r} selected via {choice.source}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return StreamSession(
         instance=instance,
         arrivals=arrivals,
@@ -457,6 +457,7 @@ def open_system(
         on_finish=on_finish,
         on_cancel=on_cancel,
         evict=evict,
+        backend=backends.select_backend(backend).effective,
     )
 
 

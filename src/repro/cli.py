@@ -464,6 +464,7 @@ def _cmd_fuzz(args) -> int:
         corpus_dir=corpus_dir,
         backends=args.backends,
         events=args.events,
+        stream=args.stream,
         shrink=not args.no_shrink,
         progress=ticker if not args.json else None,
     )
@@ -852,6 +853,14 @@ def build_parser() -> argparse.ArgumentParser:
         "when omitted",
     )
     p_fuzz.add_argument(
+        "--stream",
+        action="store_true",
+        help="also stream every case through an open-system session "
+        "sliced at random (eviction and window retirement on) and require "
+        "the completions of an unsliced run; with --backends, the c "
+        "session must equal the python session step by step",
+    )
+    p_fuzz.add_argument(
         "--no-shrink",
         action="store_true",
         help="persist failing cases without minimising them first",
@@ -885,8 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="resolved like run --backend; streaming always executes on "
-        "the python engine (warns if another backend is selected)",
+        help="resolved like run --backend; on c the session keeps its "
+        "state in the compiled kernel (every built-in policy), and warns "
+        "and runs python when the kernel has no plan",
     )
     p_serve.add_argument(
         "--load",

@@ -18,6 +18,7 @@ Ties break by leaf id, making runs fully deterministic.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -31,8 +32,19 @@ __all__ = [
     "GreedyIdenticalAssignment",
     "GreedyUnrelatedAssignment",
     "FixedAssignment",
+    "MISSING",
     "path_is_blocked",
 ]
+
+
+class _Missing:
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+#: What :meth:`FixedAssignment.assign_all` reports for a job its map
+#: lacks.
+MISSING = _Missing()
 
 
 def _check_eps(eps: float) -> float:
@@ -297,14 +309,13 @@ class FixedAssignment:
 
     def assign_all(self, instance: Instance) -> np.ndarray:
         """:meth:`assign` of every job of ``instance``, in release order,
-        as one array (of dtype object if the map holds non-integer
-        ids); raises for the first job the map lacks."""
+        as one array (of dtype object if the map holds non-integer ids
+        or lacks a job, which it reports as :data:`MISSING`, so the
+        caller raises for the first offending job, whatever its
+        fault)."""
         ids = instance.jobs.job_ids().tolist()
-        try:
-            leaves = list(map(self.mapping.__getitem__, ids))
-        except KeyError as exc:
-            raise AssignmentError(
-                f"no fixed assignment recorded for job {exc.args[0]}"
-            ) from None
-        out = np.array(leaves)
-        return out if out.dtype.kind in "iu" else np.array(leaves, dtype=object)
+        leaves = list(map(self.mapping.get, ids, repeat(MISSING)))
+        out = np.array(leaves) if MISSING not in leaves else None
+        if out is not None and out.dtype.kind in "iu":
+            return out
+        return np.array(leaves, dtype=object)

@@ -21,7 +21,8 @@ What gets recorded
   ``|Q_v(t)|`` through-count, and the exact busy time / utilization of
   the window ending at the sample.  Samples taken at an event time use
   the *pre-event* state (the state that held on the half-open interval
-  ending at the sample).
+  ending at the sample), with the active run's progress — in queued
+  volume and busy time — evaluated at the sample instant.
 
 :meth:`TraceRecorder.build` assembles a :class:`SimulationTrace`: the
 raw points and service spans plus *derived* spans — per-hop ``queue_wait``
@@ -524,7 +525,7 @@ class TraceRecorder(EngineSink):
             ns = eng._nodes[v]
             depth = len(ns.heap)
             if depth:
-                qvol = eng._queue_volume[v] - eng._live_processed(ns)
+                qvol = eng._queue_volume[v] - eng._live_processed(ns, at)
                 if qvol < 0.0:
                     qvol = 0.0
             else:

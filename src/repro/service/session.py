@@ -1,21 +1,31 @@
 """The open-system streaming session.
 
-:class:`StreamSession` drives the engine's re-enterable stream loop
-(:meth:`~repro.sim.engine.Engine.stream_step`) over a lazy — possibly
-infinite — arrival source, folding metrics window by window:
+:class:`StreamSession` drives an engine's re-enterable stream loop
+(``stream_step``) over a lazy — possibly infinite — arrival source,
+folding metrics window by window:
 
 * jobs are admitted one lookahead at a time, never materialised as an
   :class:`~repro.workload.instance.Instance` job set;
 * finished jobs are **evicted** from the engine the moment they complete
-  (``evict_finished=True``); their flow times land in fixed-bin
-  streaming histograms (:mod:`repro.service.metrics`) — cumulative and
-  per-window — so memory is bounded by the number of jobs *in flight*,
-  not the number streamed;
-* per-node utilization reuses the exact windowed gauges of
-  :class:`~repro.obs.trace.TraceRecorder` (cadence = the window length),
-  and the recorder's points/spans/gauges are *retired* as each window
-  closes (:meth:`~repro.obs.trace.TraceRecorder.retire`), keeping the
-  trace bounded too.
+  (``evict=True``); their flow times land in fixed-bin streaming
+  histograms (:mod:`repro.service.metrics`) — cumulative and per-window
+  — so memory is bounded by the number of jobs *in flight*, not the
+  number streamed;
+* per-node utilization is the exact busy time each engine reports at a
+  window boundary, differenced against the previous one, and the trace
+  recorder's points/spans/gauges are *retired* as each window closes
+  (:meth:`~repro.obs.trace.TraceRecorder.retire`), keeping the trace
+  bounded too.
+
+A session runs on the python engine (:class:`~repro.sim.engine.Engine`)
+or, when ``backend="c"`` and the compiled kernel plans the policy,
+priority and setting, on a kernel session
+(:class:`~repro.sim.backends.c_backend.CStreamEngine`); both hand each
+engine step's finished jobs over in (completion time, job id) order, so
+the histograms, callbacks and integrals agree exactly.  The python
+engine is the only one for per-event traces, invariant checks, dynamic
+events and ``evict=False``; a c session asked for one of them warns and
+runs python.
 
 The batch path is the closed special case: :func:`repro.api.simulate`
 is one uninterrupted step over a finite source with eviction off.
@@ -25,12 +35,19 @@ policy/backend names exactly like ``simulate()``.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
-from repro.obs.trace import TraceConfig, TracePoint, TraceRecorder
+from repro.obs.trace import (
+    GaugeSample,
+    SimulationTrace,
+    TraceConfig,
+    TracePoint,
+    TraceRecorder,
+)
 from repro.service.metrics import StreamingHistogram, StreamSnapshot, WindowStats
 from repro.sim.engine import Engine, PriorityFn, sjf_priority
 
@@ -45,21 +62,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["StreamSession"]
 
 
-class _SessionRecorder(TraceRecorder):
-    """The session's one engine sink: its windowed trace recorder, which
-    also tallies arrivals, completions and cancellations (cumulative and
-    per window), folds flow times into the histograms and hands records
-    to the session's callbacks.  ``on_arrival``/``on_finish`` inline the
-    base class's point recording, so each event costs one call."""
+class _Tally:
+    """A session's counts, flow histograms and callbacks, fed by either
+    engine."""
 
-    def __init__(self, config, cum_hist, win_hist, on_finish, on_cancel) -> None:
-        super().__init__(config)
+    def __init__(self, cum_hist, win_hist, on_finish, on_cancel) -> None:
         self.cum_hist = cum_hist
         self.win_hist = win_hist
         self.user_on_finish = on_finish
         self.user_on_cancel = on_cancel
         self.arrivals_total = self.completions_total = self.cancelled_total = 0
         self.arrivals_win = self.completions_win = self.cancelled_win = 0
+
+    def fold_finished(self, flows, records) -> None:
+        """Fold one engine step's finished jobs, already in (completion
+        time, job id) order: histograms, counts, then callbacks."""
+        cum, win = self.cum_hist.add, self.win_hist.add
+        for flow in flows:
+            cum(flow)
+            win(flow)
+        self.completions_total += len(flows)
+        self.completions_win += len(flows)
+        if self.user_on_finish is not None:
+            for record in records:
+                self.user_on_finish(record)
+
+
+class _SessionRecorder(TraceRecorder, _Tally):
+    """The python engine's one sink in a session: its windowed trace
+    recorder, which also tallies arrivals and cancellations (cumulative
+    and per window) and holds each step's finished records for the
+    session to fold.  ``on_arrival``/``on_finish`` inline the base
+    class's point recording, so each event costs one call."""
+
+    def __init__(self, config, *tally) -> None:
+        TraceRecorder.__init__(self, config)
+        _Tally.__init__(self, *tally)
+        self._finished: list[tuple[float, int, "JobRecord"]] = []
 
     def on_arrival(self, time: float, job_id: int, leaf: int) -> None:
         self.arrivals_total += 1
@@ -68,15 +107,9 @@ class _SessionRecorder(TraceRecorder):
             self._points.append(TracePoint("arrival", time, job_id, leaf))
 
     def on_finish(self, time: float, record: "JobRecord") -> None:
-        self.completions_total += 1
-        self.completions_win += 1
-        flow = record.flow_time
-        self.cum_hist.add(flow)
-        self.win_hist.add(flow)
+        self._finished.append((time, record.job_id, record))
         if self._record_points:
             self._points.append(TracePoint("finish", time, record.job_id, record.leaf))
-        if self.user_on_finish is not None:
-            self.user_on_finish(record)
 
     def on_cancel(self, time: float, record: "JobRecord", node: int) -> None:
         # A cancellation is not a completion: the censored flow time
@@ -86,6 +119,33 @@ class _SessionRecorder(TraceRecorder):
         super().on_cancel(time, record, node)
         if self.user_on_cancel is not None:
             self.user_on_cancel(record)
+
+    def take_finished(self, records: bool):
+        """The step's finished jobs in (completion time, id) order:
+        their flow times and records."""
+        finished = self._finished
+        if not finished:
+            return (), ()
+        finished.sort()  # ids are unique: records are never compared
+        self._finished = []
+        recs = [r for _, _, r in finished]
+        return [r.flow_time for r in recs], recs
+
+    def busy_totals(self, now: float) -> list[float]:
+        return [self.cumulative_busy(v, now) for v in self._gauge_ids]
+
+
+def _c_decline(record_points, record_spans, check_invariants, events, evict):
+    """Why a c session must run python instead (``None``: it need not)."""
+    if record_points or record_spans:
+        return "record_points/record_spans need the per-event trace"
+    if check_invariants:
+        return "check_invariants audits the python engine's state"
+    if events is not None and len(events):
+        return "dynamic events in streams run on the python engine only"
+    if not evict:
+        return "evict=False keeps every record in the python engine"
+    return None
 
 
 class StreamSession:
@@ -130,7 +190,9 @@ class StreamSession:
     on_finish:
         Optional callback called with each finished
         :class:`~repro.sim.result.JobRecord` — with eviction on, the
-        only place completed records are observable.
+        only place completed records are observable.  Each engine
+        step's records arrive at its end, in (completion time, job id)
+        order.
     on_cancel:
         Same, for records withdrawn by a dynamic cancel event (their
         ``cancelled_at`` is set; they never reach ``on_finish``).
@@ -138,6 +200,13 @@ class StreamSession:
         Evict finished jobs from the engine (default).  ``False`` keeps
         every record for :meth:`close` — batch-equivalent output, at
         batch memory cost; only sensible for finite streams.
+    backend:
+        ``"python"`` or ``"c"`` (resolved by
+        :func:`repro.api.open_system`).  A ``"c"`` session runs on the
+        compiled kernel when it plans the policy, priority and setting
+        and none of ``record_points``, ``record_spans``,
+        ``check_invariants``, ``events`` or ``evict=False`` is asked
+        for; otherwise it warns with the reason and runs python.
     """
 
     def __init__(
@@ -158,6 +227,7 @@ class StreamSession:
         on_finish=None,
         on_cancel=None,
         evict: bool = True,
+        backend: str = "python",
     ) -> None:
         if not window > 0.0:
             raise SimulationError(f"window must be positive, got {window}")
@@ -167,40 +237,86 @@ class StreamSession:
         proto = histogram if histogram is not None else StreamingHistogram()
         self._hist_layout = {"low": proto.low, "high": proto.high,
                              "bins": proto.bins}
-        self._recorder = _SessionRecorder(
-            TraceConfig(
-                gauge_interval=self.window,
-                record_points=record_points,
-                record_spans=record_spans,
-            ),
-            cum_hist=proto if proto.count == 0 else StreamingHistogram(
-                **self._hist_layout
-            ),
-            win_hist=StreamingHistogram(**self._hist_layout),
-            on_finish=on_finish,
-            on_cancel=on_cancel,
+        tally = (
+            proto if proto.count == 0 else StreamingHistogram(**self._hist_layout),
+            StreamingHistogram(**self._hist_layout),
+            on_finish,
+            on_cancel,
         )
-        self._engine = Engine(
-            instance,
-            policy,
-            speeds,
-            priority=priority,
-            check_invariants=check_invariants,
-            max_events=None,
-            sink=self._recorder,
-            events=events,
-            evict_finished=evict,
+        engine = None
+        if backend == "c":
+            engine = self._open_c(
+                instance, policy, speeds, priority,
+                _c_decline(record_points, record_spans, check_invariants,
+                           events, evict),
+            )
+        if engine is not None:
+            self._recorder = None
+            self._tally = _Tally(*tally)
+            self._take_finished = engine.take_finished
+            self._busy_totals = engine.busy_totals
+        else:
+            recorder = self._recorder = _SessionRecorder(
+                TraceConfig(
+                    gauge_interval=self.window,
+                    record_points=record_points,
+                    record_spans=record_spans,
+                ),
+                *tally,
+            )
+            engine = Engine(
+                instance,
+                policy,
+                speeds,
+                priority=priority,
+                check_invariants=check_invariants,
+                max_events=None,
+                sink=recorder,
+                events=events,
+                evict_finished=evict,
+            )
+            self._tally = recorder
+            self._take_finished = recorder.take_finished
+            self._busy_totals = lambda: recorder.busy_totals(engine.now)
+        self._engine = engine
+        self._want_records = on_finish is not None
+        self._node_ids = tuple(
+            v for v in instance.tree.node_ids if v != instance.tree.root
         )
+        self._busy_prev = [0.0] * len(self._node_ids)
         self._windows_closed = 0
         self._windows: deque[WindowStats] = deque(maxlen=keep_windows)
         self._result: "SimulationResult | None" = None
-        self._engine.stream_start(arrivals)
+        engine.stream_start(arrivals)
+
+    @staticmethod
+    def _open_c(instance, policy, speeds, priority, reason):
+        """A kernel session for this run, or ``None`` with a warning
+        naming why it runs python."""
+        if reason is None:
+            from repro.sim.backends.c_backend import CKernelInapplicable, CStreamEngine
+
+            try:
+                return CStreamEngine(instance, policy, speeds, priority=priority)
+            except CKernelInapplicable as exc:
+                reason = f"the c kernel has no plan for {exc}"
+        warnings.warn(
+            f"open_system runs this session on the python engine: {reason}",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return None
 
     # -- lifecycle ------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._engine.now
+
+    @property
+    def backend(self) -> str:
+        """The engine the session runs on: ``"python"`` or ``"c"``."""
+        return "python" if self._recorder is not None else "c"
 
     @property
     def closed(self) -> bool:
@@ -237,11 +353,11 @@ class StreamSession:
             )
         boundary = (self._windows_closed + 1) * w
         while boundary <= until:
-            engine.stream_step(until=boundary)
+            self._engine_step(boundary)
             self._fold_window(boundary)
             boundary = (self._windows_closed + 1) * w
         if until > engine.now:
-            engine.stream_step(until=until)
+            self._engine_step(until)
         return engine.now
 
     def drain(self) -> float:
@@ -258,23 +374,22 @@ class StreamSession:
         plus the histogram summaries)."""
         engine = self._engine
         now = engine.now
-        recorder = self._recorder
+        tally = self._tally
         if now > 0.0:
             utilization = {
-                v: recorder.cumulative_busy(v, now) / now
-                for v in engine._nodes
+                v: b / now for v, b in zip(self._node_ids, self._busy_totals())
             }
         else:
-            utilization = {v: 0.0 for v in engine._nodes}
+            utilization = dict.fromkeys(self._node_ids, 0.0)
         return StreamSnapshot(
             time=now,
             window=self.window,
             windows_closed=self._windows_closed,
             jobs_in_flight=engine.alive_count,
-            arrivals_total=recorder.arrivals_total,
-            completions_total=recorder.completions_total,
-            cancelled_total=recorder.cancelled_total,
-            flow=recorder.cum_hist.summary(),
+            arrivals_total=tally.arrivals_total,
+            completions_total=tally.completions_total,
+            cancelled_total=tally.cancelled_total,
+            flow=tally.cum_hist.summary(),
             utilization=utilization,
             last_window=self.last_window,
         )
@@ -290,34 +405,88 @@ class StreamSession:
         window retirement dropped.
         """
         if self._result is None:
-            self._result = self._engine.stream_result(verify=False)
+            result = self._engine.stream_result(verify=False)
+            if self._recorder is None:
+                result.trace = self._c_trace()
+            self._result = result
         return self._result
 
     # -- internals ------------------------------------------------------
+    def _engine_step(self, until: float) -> None:
+        """One engine step, then its finished jobs into the tallies."""
+        engine = self._engine
+        engine.stream_step(until=until)
+        if self._recorder is None:
+            self._tally.arrivals_total += engine.step_arrivals
+            self._tally.arrivals_win += engine.step_arrivals
+        self._tally.fold_finished(*self._take_finished(self._want_records))
+
     def _fold_window(self, boundary: float) -> None:
         """Close the window ending at ``boundary``: roll up its stats,
         then retire everything the recorder holds for it."""
         w = self.window
-        recorder = self._recorder
-        busy: dict[int, float] = dict.fromkeys(self._engine._nodes, 0.0)
-        for g in recorder._gauges:
-            # Post-retirement the recorder only holds gauges newer than
-            # the previous boundary, so `<= boundary` selects exactly
-            # this window's samples.
-            if g.time <= boundary:
-                busy[g.node] += g.busy_s
+        tally = self._tally
+        busy = self._busy_totals()
+        utilization = {}
+        for v, b, prev in zip(self._node_ids, busy, self._busy_prev):
+            b -= prev
+            if b < 0.0:  # pragma: no cover - float guard
+                b = 0.0
+            utilization[v] = b / w
+        self._busy_prev = busy
         stats = WindowStats(
             index=self._windows_closed,
             start=boundary - w,
             end=boundary,
-            arrivals=recorder.arrivals_win,
-            completions=recorder.completions_win,
-            cancelled=recorder.cancelled_win,
-            flow=recorder.win_hist.summary(),
-            utilization={v: b / w for v, b in busy.items()},
+            arrivals=tally.arrivals_win,
+            completions=tally.completions_win,
+            cancelled=tally.cancelled_win,
+            flow=tally.win_hist.summary(),
+            utilization=utilization,
         )
         self._windows.append(stats)
         self._windows_closed += 1
-        recorder.arrivals_win = recorder.completions_win = recorder.cancelled_win = 0
-        recorder.win_hist = StreamingHistogram(**self._hist_layout)
-        recorder.retire(before=boundary)
+        tally.arrivals_win = tally.completions_win = tally.cancelled_win = 0
+        tally.win_hist = StreamingHistogram(**self._hist_layout)
+        if self._recorder is not None:
+            self._recorder.retire(before=boundary)
+
+    def _c_trace(self) -> SimulationTrace:
+        """A c session's closing trace, as the python session's recorder
+        builds it: its meta, with the gauge samples every window fold
+        retired, and the trailing sample at ``now`` of the nodes'
+        settled state (queue depth and volume, through-count, busy time
+        since the last boundary)."""
+        engine = self._engine
+        instance = engine.instance
+        now = engine.now
+        meta = {
+            "instance": getattr(instance, "name", None) or "unnamed",
+            "jobs": len(instance.jobs),
+            "nodes": len(self._node_ids),
+            "gauge_interval": self.window,
+            "final_time": now,
+        }
+        retired = self._windows_closed * len(self._node_ids)
+        if retired:
+            meta["retired"] = {"points": 0, "spans": 0, "gauges": retired, "events": 0}
+        gauges = []
+        last = self._windows_closed * self.window
+        if now > last:
+            window = now - last
+            depth, qvol, through, busy = engine.gauge_state
+            for v, d, q, c, b, prev in zip(
+                self._node_ids, depth, qvol, through, busy, self._busy_prev
+            ):
+                q = q if d else 0.0
+                if q < 0.0:
+                    q = 0.0
+                b -= prev
+                if b < 0.0:  # pragma: no cover - float guard
+                    b = 0.0
+                gauges.append(GaugeSample(
+                    time=now, node=v, queue_depth=d, queue_volume=q,
+                    through_count=c, busy_s=b,
+                    utilization=b / window if window > 0.0 else 0.0,
+                ))
+        return SimulationTrace(meta=meta, gauges=gauges)

@@ -4,7 +4,8 @@ The selectable engine backends:
 
 * ``"python"`` — the reference :class:`~repro.sim.engine.Engine`: one
   global event heap, the per-event ``sink=`` hooks and counters, bounded
-  horizons, streaming.  Always available; always correct.
+  horizons, streaming with per-event traces, invariant audits or
+  dynamic events.  Always available; always correct.
 * ``"c"`` — the compiled kernel (:mod:`repro.sim.backends.c_backend`):
   the same Section-2 semantics, dynamic events included, replayed with
   lazily-synced per-node sweeps, built on demand from shipped source by
@@ -19,7 +20,11 @@ The selectable engine backends:
   segment recording) or one asking for an option defined by the
   global event order (a ``sink``, ``until``, engine counters) runs on
   the python engine — the schedule is the same either way, only the
-  execution strategy differs.
+  execution strategy differs.  Open-system sessions
+  (:func:`repro.api.open_system`) run on a kernel session that keeps
+  its state across window steps whenever the kernel plans the policy,
+  priority and setting; one asking for per-event traces, invariant
+  checks, dynamic events or ``evict=False`` warns and runs python.
 
 Selection: one resolver, :func:`select_backend`, shared by
 :func:`simulate`, :func:`repro.api.simulate`,

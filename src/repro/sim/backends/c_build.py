@@ -64,7 +64,7 @@ __all__ = [
 #: Kernel ABI version; must match ``REPRO_KERNEL_ABI`` in the C source.
 #: Part of the cache key *and* verified against the loaded library's
 #: ``repro_abi_version()`` export.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 #: Compiler commands tried in order when ``REPRO_CC`` is unset.
 _CANDIDATE_CCS = ("cc", "gcc", "clang")
@@ -220,6 +220,14 @@ def _configure(dll: ctypes.CDLL) -> ctypes.CDLL:
     dll.repro_abi_version.argtypes = ()
     dll.repro_run.restype = ctypes.c_int
     dll.repro_run.argtypes = (ctypes.c_void_p,)
+    dll.repro_session_open.restype = ctypes.c_void_p
+    dll.repro_session_open.argtypes = (ctypes.c_void_p,)
+    for name in ("repro_session_step", "repro_session_close"):
+        fn = getattr(dll, name)
+        fn.restype = ctypes.c_int
+        fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p)
+    dll.repro_session_free.restype = None
+    dll.repro_session_free.argtypes = (ctypes.c_void_p,)
     return dll
 
 

@@ -306,7 +306,7 @@ class SchedulerView:
                 return 0.0
         except KeyError:
             raise TopologyError(f"unknown non-root node id {node}") from None
-        vol = eng._through_volume[node] - eng._live_processed(eng._nodes[node])
+        vol = eng._through_volume[node] - eng._live_processed(eng._nodes[node], eng.now)
         return vol if vol > 0.0 else 0.0
 
     def queue_volume_at(self, node: int) -> float:
@@ -324,7 +324,7 @@ class SchedulerView:
             raise TopologyError(f"unknown non-root node id {node}") from None
         if not ns.heap:
             return 0.0
-        vol = eng._queue_volume[node] - eng._live_processed(ns)
+        vol = eng._queue_volume[node] - eng._live_processed(ns, eng.now)
         return vol if vol > 0.0 else 0.0
 
     def alive_jobs(self) -> tuple[int, ...]:
@@ -553,6 +553,7 @@ class Engine:
         self._num_events = 0
 
         # The objectives' terms of jobs already evicted (see _evict).
+        self._evicted: list[tuple[float, int, float, float]] = []
         self._evicted_alive = 0.0
         self._evicted_frac = 0.0
 
@@ -611,12 +612,12 @@ class Engine:
             return max(rem, 0.0)
         return st.remaining
 
-    def _live_processed(self, ns: _NodeState) -> float:
-        """Work done by ``ns``'s active job since arming, not yet settled
-        into the static aggregates (0 when idle)."""
+    def _live_processed(self, ns: _NodeState, at: float) -> float:
+        """Work done by ``ns``'s active job from arming to ``at``, not yet
+        settled into the static aggregates (0 when idle)."""
         if ns.active_id is None:
             return 0.0
-        elapsed = self.now - ns.active_started
+        elapsed = at - ns.active_started
         if elapsed <= 0.0:
             return 0.0
         done = ns.speed * elapsed
@@ -698,11 +699,25 @@ class Engine:
             raise SimulationError(f"time went backwards: {self.now} -> {t}")
 
     def _evict(self, st: _JobState) -> None:
-        """Drop a terminal job's state, its objective terms folded first."""
-        flow = self.now - st.record.release
-        self._evicted_alive += flow
-        self._evicted_frac += flow - st.deficit
+        """Drop a terminal job's state, its objective terms kept for
+        :meth:`_fold_evicted`."""
+        self._evicted.append(
+            (self.now, st.job.id, self.now - st.record.release, st.deficit)
+        )
         del self._states[st.job.id]
+
+    def _fold_evicted(self) -> None:
+        """Fold the terms of the jobs evicted since the last fold, in
+        (terminal time, job id) order — the order the compiled kernel
+        hands its finished jobs back in, which its per-node sweeps can
+        reproduce where the event heap's same-instant order cannot."""
+        evicted = self._evicted
+        if evicted:
+            evicted.sort()
+            for _, _, flow, deficit in evicted:
+                self._evicted_alive += flow
+                self._evicted_frac += flow - deficit
+            evicted.clear()
 
     # ------------------------------------------------------------------
     # event handlers
@@ -1233,6 +1248,7 @@ class Engine:
         finally:
             self._pending_job = pending
             self._dyn_i = dyn_i
+            self._fold_evicted()
             if counters is not None:
                 self._run_seconds += perf_counter() - run_started
 

@@ -23,7 +23,12 @@ hierarchy (``docs/testing.md``) and returns the failures:
    zero heap leftovers).
 7. **metamorphic** — the symmetry relations of
    :mod:`repro.testing.metamorphic`.
-8. **backends** (opt-in: ``repro fuzz --backends``) — the compiled
+8. **stream** (opt-in: ``repro fuzz --stream``) — the case streamed
+   through an open-system session, sliced at random, must reproduce an
+   unsliced run bit for bit, and with ``--backends`` the same session on
+   the kernel must equal the python one (``stream_backends``; see
+   :mod:`repro.testing.stream`).
+9. **backends** (opt-in: ``repro fuzz --backends``) — the compiled
    kernel (:mod:`repro.sim.backends.c_backend`) must replay the case
    with the identical assignment and cancellations, per-hop times,
    records and total flow time, all exactly ``==`` to the reference
@@ -49,11 +54,13 @@ from repro.testing.exact import exact_replay
 from repro.testing.generate import FuzzCase
 from repro.testing.metamorphic import run_relations
 from repro.testing.reference import reference_simulate
+from repro.testing.stream import STREAM_CHECK, check_stream
 
 __all__ = [
     "ALL_CHECKS",
     "BACKEND_CHECK",
     "PLAN_OUTCOMES",
+    "STREAM_CHECK",
     "CheckFailure",
     "run_checks",
 ]
@@ -111,13 +118,14 @@ def run_checks(
 
     ``checks`` restricts the battery to a subset of :data:`ALL_CHECKS`
     (the ``engine`` run always happens — everything depends on it), and
-    may add the opt-in :data:`BACKEND_CHECK`.  When the backend check
-    runs, ``plans`` (if given) gains one count under
-    ``(outcome, "setting/policy")``, ``outcome`` one of
+    may add the opt-in :data:`BACKEND_CHECK` and :data:`STREAM_CHECK`.
+    When the backend check runs, ``plans`` (if given) gains one count
+    under ``(outcome, "setting/policy")`` — and, with the stream check,
+    one under ``(outcome, "stream/setting/policy")`` — ``outcome`` one of
     :data:`PLAN_OUTCOMES`.
     """
     selected = set(ALL_CHECKS if checks is None else checks)
-    unknown = selected - set(ALL_CHECKS) - {BACKEND_CHECK}
+    unknown = selected - set(ALL_CHECKS) - {BACKEND_CHECK, STREAM_CHECK}
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     failures: list[CheckFailure] = []
@@ -339,6 +347,11 @@ def run_checks(
         failures.extend(problems)
         if plans is not None:
             plans[outcome, f"{case.config.setting}/{case.config.policy}"] += 1
+
+    if STREAM_CHECK in selected:
+        failures.extend(
+            check_stream(case, backends=BACKEND_CHECK in selected, plans=plans)
+        )
 
     return failures
 

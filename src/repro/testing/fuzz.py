@@ -23,6 +23,7 @@ from repro.testing.checks import (
     ALL_CHECKS,
     BACKEND_CHECK,
     PLAN_OUTCOMES,
+    STREAM_CHECK,
     CheckFailure,
     run_checks,
 )
@@ -118,6 +119,7 @@ def run_fuzz(
     checks=None,
     backends: bool = False,
     events: bool = False,
+    stream: bool = False,
     shrink: bool = True,
     shrink_attempts: int = 400,
     progress=None,
@@ -146,6 +148,12 @@ def run_fuzz(
         Extend the case stream with dynamic-event plans (node outages,
         cancellations) drawn from a separate sub-stream; the default
         stream stays byte-identical when off.
+    stream:
+        Add the streaming check (:mod:`repro.testing.stream`): every case
+        also runs through a randomly sliced open-system session, on the
+        kernel too with ``backends``; its stream opens with a deck of
+        same-instant-completion and tie families, so it differs from the
+        default stream after the first dozen cases.
     shrink:
         Minimise failing cases before persisting.
     shrink_attempts:
@@ -159,11 +167,13 @@ def run_fuzz(
     selected = tuple(ALL_CHECKS if checks is None else checks)
     if backends and BACKEND_CHECK not in selected:
         selected = selected + (BACKEND_CHECK,)
+    if stream and STREAM_CHECK not in selected:
+        selected = selected + (STREAM_CHECK,)
     started = time.monotonic()
     summary = FuzzSummary(seed=seed, cases_run=0, elapsed_seconds=0.0)
     if BACKEND_CHECK in selected:
         summary.kernel_plans = Counter()
-    for case in iter_cases(seed, max_cases, events=events):
+    for case in iter_cases(seed, max_cases, events=events, stream=stream):
         if (
             budget_seconds is not None
             and time.monotonic() - started >= budget_seconds

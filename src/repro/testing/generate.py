@@ -388,7 +388,11 @@ def _collision_config(rng: np.random.Generator) -> CaseConfig:
 
 
 def iter_cases(
-    seed: int, max_cases: int | None = None, *, events: bool = False
+    seed: int,
+    max_cases: int | None = None,
+    *,
+    events: bool = False,
+    stream: bool = False,
 ) -> Iterator[FuzzCase]:
     """Yield a deterministic stream of materialised cases.
 
@@ -407,6 +411,12 @@ def iter_cases(
     default stream is untouched — every rng draw of the ``events=False``
     stream happens in the same order, so historical corpora and golden
     registries replay byte-identically.
+
+    With ``stream=True`` the deck opens with the streaming families:
+    equal jobs released together on symmetric branches (completions on
+    two leaves at the same instant) and releases shared by several jobs,
+    whose source order :mod:`repro.testing.stream` reverses half the
+    time.
     """
     rng = np.random.default_rng(seed)
     deck = [
@@ -423,6 +433,14 @@ def iter_cases(
         CaseConfig(0, "paths_2x1", 7, "tied", "powers", policy="fixed"),
         CaseConfig(0, "spine2", 8, "integer_grid", "equal", policy="round-robin"),
     ]
+    if stream:
+        deck = [
+            CaseConfig(0, "paths_2x1", 4, "all_zero", "equal", policy="round-robin"),
+            CaseConfig(0, "paths_3x2", 6, "all_zero", "equal", policy="round-robin"),
+            CaseConfig(0, "kary_2x2", 8, "tied", "equal", policy="greedy"),
+            CaseConfig(0, "kary_2x2", 8, "tied", "powers", policy="random"),
+            CaseConfig(0, "paths_2x1", 6, "integer_grid", "equal", policy="least-loaded"),
+        ] + deck
     if events:
         deck += [
             CaseConfig(0, "spine4", 6, "integer_grid", "powers", events="outages"),

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.testing.checks import CheckFailure, run_checks
+from repro.testing.checks import (
+    ALL_CHECKS,
+    BACKEND_CHECK,
+    STREAM_CHECK,
+    CheckFailure,
+    run_checks,
+)
+from repro.testing.stream import STREAM_BACKEND_CHECK
 from repro.testing.corpus import DEFAULT_CORPUS_DIR, load_repro
 from repro.testing.generate import FuzzCase
 
@@ -59,11 +66,20 @@ def replay_case(
     digest: str | None = None,
     recorded_checks=(),
 ) -> ReplayReport:
-    """Run the battery on a case and wrap the outcome."""
+    """Run the battery on a case — plus the opt-in checks whose failures
+    were recorded — and wrap the outcome."""
+    opt_in = {
+        BACKEND_CHECK: (BACKEND_CHECK,),
+        STREAM_CHECK: (STREAM_CHECK,),
+        STREAM_BACKEND_CHECK: (STREAM_CHECK, BACKEND_CHECK),
+    }
+    checks = set(ALL_CHECKS)
+    for check in recorded_checks:
+        checks.update(opt_in.get(check, ()))
     return ReplayReport(
         digest=digest,
         label=case.config.label(),
-        failures=run_checks(case),
+        failures=run_checks(case, checks=checks),
         recorded_checks=tuple(recorded_checks),
     )
 

@@ -55,7 +55,8 @@ class Instance:
         Optional label used in experiment reports.
 
     The derived matrices (:meth:`leaf_size_matrix`,
-    :meth:`leaf_size_ranks`) are built on first use and kept, read-only
+    :meth:`leaf_size_ranks`, :meth:`feasible_mask`) and the compiled
+    kernel's topology plan are built on first use and kept, read-only
     and unpickled, outside ``==`` and ``repr``: the tree and the jobs
     are immutable, so they never go stale.
     """
@@ -111,15 +112,22 @@ class Instance:
         state.pop("_kept", None)
         return state
 
-    def _keep(self, name: str, build) -> np.ndarray:
-        """``build()`` made read-only, built on first use and kept."""
+    def _memo(self, key, build):
+        """``build()``, built on first use and kept under ``key``."""
         kept = vars(self).setdefault("_kept", {})
-        arr = kept.get(name)
-        if arr is None:
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
+
+    def _keep(self, name: str, build) -> np.ndarray | None:
+        """``build()`` made read-only, built on first use and kept."""
+        def frozen():
             arr = build()
-            arr.flags.writeable = False
-            kept[name] = arr
-        return arr
+            if arr is not None:
+                arr.flags.writeable = False
+            return arr
+
+        return self._memo(name, frozen)
 
     # ------------------------------------------------------------------
     # job columns
@@ -163,10 +171,14 @@ class Instance:
         return (origins >= 0) & (origins != self.tree.root)
 
     def feasible_mask(self) -> np.ndarray | None:
-        """:meth:`feasible_leaves` of every job at once: an ``n x leaves``
-        boolean array, rows in release order, columns in ``tree.leaves``
-        order — or ``None`` when every job may run on every leaf
-        (identical endpoints, root origins)."""
+        """:meth:`feasible_leaves` of every job at once: a read-only
+        ``n x leaves`` boolean array, rows in release order, columns in
+        ``tree.leaves`` order — or ``None`` when every job may run on
+        every leaf (identical endpoints, root origins).  Built on first
+        use and kept."""
+        return self._keep("feasible", self._build_feasible_mask)
+
+    def _build_feasible_mask(self) -> np.ndarray | None:
         tree = self.tree
         origins = self.jobs.origins()
         own = self.router_origins()

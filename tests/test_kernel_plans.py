@@ -30,6 +30,7 @@ from repro.baselines.policies import (
     _feasible_leaves,
 )
 from repro.core.assignment import (
+    MISSING,
     FixedAssignment,
     GreedyIdenticalAssignment,
     GreedyUnrelatedAssignment,
@@ -425,12 +426,17 @@ class TestStaticFastPaths:
             assert _policy_state(bulk) == _policy_state(looped), name
 
     def test_fixed_bulk_rule_names_the_first_missing_job(self):
+        # The bulk rule marks every job the map lacks; the call then
+        # raises for the first one, on either backend.
         tree = datacenter_tree(1, 2, 2)
         jobs = JobSet([Job(i, float(i), 1.0) for i in range(4)])
         instance = Instance(tree, jobs, Setting.IDENTICAL)
         leaf = tree.leaves[0]
-        with pytest.raises(AssignmentError, match="recorded for job 1$"):
-            FixedAssignment({0: leaf, 3: leaf}).assign_all(instance)
+        policy = FixedAssignment({0: leaf, 3: leaf})
+        assert policy.assign_all(instance).tolist() == [leaf, MISSING, MISSING, leaf]
+        for backend in backends.available_backends():
+            with pytest.raises(AssignmentError, match="recorded for job 1$"):
+                backends.simulate(instance, policy, backend=backend)
 
 
 @needs_c
@@ -503,6 +509,17 @@ class TestAssignmentErrors:
         python, c = _error_messages(instance, mapping)
         assert python == c
         assert "job 1" in python
+
+    def test_earliest_fault_wins_over_a_later_missing_job(self):
+        # Job 0 goes to a router and job 1 has no entry: both backends
+        # report job 0, the first offending job in release order.
+        tree = kary_tree(2, 3)
+        instance = Instance(
+            tree, JobSet([Job(i, float(i), 1.0) for i in range(3)]), Setting.IDENTICAL
+        )
+        mapping = {0: tree.root_children[0], 2: tree.leaves[0]}
+        python, c = _error_messages(instance, mapping)
+        assert python == c == "policy assigned job 0 to non-leaf node 1"
 
     @pytest.mark.parametrize("odd", [None, "7", 7.5, 1 << 40])
     def test_odd_fixed_ids_fail_alike(self, odd):

@@ -191,6 +191,24 @@ class TestGauges:
         assert [g.busy_s for g in gauges] == [1.0] * 5
         assert [g.utilization for g in gauges] == [1.0] * 5
 
+    def test_queue_volume_is_read_at_the_sample_instant(self):
+        # Between events the active run keeps draining its node's queued
+        # volume: a sample reads the work left at its own instant, not at
+        # the last event.
+        tree = api.build_tree("paths", num_paths=1, path_length=1)
+        inst = Instance(
+            tree, JobSet([Job(id=0, release=0.0, size=10.0)]), Setting.IDENTICAL
+        )
+        result = simulate(
+            inst, FixedAssignment({0: tree.leaves[0]}),
+            sink=TraceRecorder(gauge_interval=2.0),
+        )
+        gauges = [g for g in result.trace.gauges_for(1) if g.time <= 10.0]
+        assert [(g.time, g.queue_volume) for g in gauges] == [
+            (2.0, 8.0), (4.0, 6.0), (6.0, 4.0), (8.0, 2.0), (10.0, 0.0),
+        ]
+        assert [g.busy_s for g in gauges] == [2.0] * 5
+
     def test_busy_time_integrates_to_service_total(self):
         inst = make_instance()
         result = traced(inst, gauge_interval=1.5)

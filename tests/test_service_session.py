@@ -3,8 +3,6 @@ bounded state under eviction, and the facade's resolution/error paths."""
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -236,12 +234,11 @@ class TestLifecycleAndErrors:
     @pytest.mark.skipif(
         "c" not in available_backends(), reason="c backend unavailable"
     )
-    def test_non_python_backend_warns_and_streams_anyway(self):
+    def test_declined_c_session_warns_with_the_reason(self):
         inst = _instance(n_jobs=10)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sess = api.open_system(instance=inst, backend="c")
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+        with pytest.warns(RuntimeWarning, match="record_points"):
+            sess = api.open_system(instance=inst, backend="c", record_points=True)
+        assert sess.backend == "python"
         sess.drain()
         assert sess.snapshot().completions_total == 10
 
