@@ -3,9 +3,18 @@
 Each builder produces a named, fully seeded instance; experiments only
 choose topology, load, and size family, so rows across experiments stay
 comparable.
+
+Trials of one sweep revisit the same few inputs, so each is built once
+per process: :func:`standard_trees` builds its trees once, and each
+instance function is a pure function of its arguments (the RNG is
+seeded inside, the tree is keyed by identity), memoized for the last
+:data:`INSTANCE_MEMO_SIZE` distinct calls.  The returned trees and
+instances are shared between callers and must not be mutated.
 """
 
 from __future__ import annotations
+
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -32,8 +41,19 @@ __all__ = [
 ]
 
 
+#: Distinct calls each instance function keeps memoized.  A T1 or T2
+#: sweep revisits at most 3 instances per tree between repeats.
+INSTANCE_MEMO_SIZE = 16
+
+
 def standard_trees() -> dict[str, TreeNetwork]:
-    """The topology families every sweep runs over."""
+    """The topology families every sweep runs over: a new dict on every
+    call, of the same (immutable) tree objects."""
+    return dict(_standard_trees())
+
+
+@cache
+def _standard_trees() -> dict[str, TreeNetwork]:
     return {
         "kary(2,3)": kary_tree(2, 3),
         "caterpillar(4,2)": caterpillar_tree(4, 2),
@@ -53,6 +73,7 @@ def _sizes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise AnalysisError(f"unknown size kind {kind!r}")
 
 
+@lru_cache(maxsize=INSTANCE_MEMO_SIZE)
 def identical_instance(
     tree: TreeNetwork,
     n: int,
@@ -62,7 +83,8 @@ def identical_instance(
     seed: int = 0,
     name: str = "",
 ) -> Instance:
-    """Poisson arrivals at the given bottleneck load, identical setting."""
+    """Poisson arrivals at the given bottleneck load, identical setting.
+    Memoized: the returned instance is shared and must not be mutated."""
     rng = np.random.default_rng(seed)
     sizes = _sizes(size_kind, n, rng)
     rate = Instance.poisson_rate_for_load(tree, float(sizes.mean()), load)
@@ -75,6 +97,7 @@ def identical_instance(
     )
 
 
+@lru_cache(maxsize=INSTANCE_MEMO_SIZE)
 def unrelated_instance(
     tree: TreeNetwork,
     n: int,
@@ -85,7 +108,8 @@ def unrelated_instance(
     seed: int = 0,
     name: str = "",
 ) -> Instance:
-    """Poisson arrivals with a structured unrelated-endpoint matrix."""
+    """Poisson arrivals with a structured unrelated-endpoint matrix.
+    Memoized: the returned instance is shared and must not be mutated."""
     rng = np.random.default_rng(seed)
     sizes = _sizes(size_kind, n, rng)
     rate = Instance.poisson_rate_for_load(tree, float(sizes.mean()), load)
@@ -105,6 +129,7 @@ def unrelated_instance(
     )
 
 
+@lru_cache(maxsize=INSTANCE_MEMO_SIZE)
 def burst_instance(
     tree: TreeNetwork,
     *,
@@ -117,7 +142,8 @@ def burst_instance(
     name: str = "",
 ) -> Instance:
     """Adversarial burst arrivals (identical setting) — the stress
-    workload for the interior waiting bounds."""
+    workload for the interior waiting bounds.  Memoized: the returned
+    instance is shared and must not be mutated."""
     rng = np.random.default_rng(seed)
     n = num_bursts * jobs_per_burst
     sizes = _sizes(size_kind, n, rng)

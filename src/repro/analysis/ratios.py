@@ -242,9 +242,12 @@ def lower_bound_cached(
     Identical return value (asserted by property test), solved at most
     once per distinct instance per process — and, when the disk layer is
     configured, once per distinct instance per *sweep* regardless of how
-    trials shard over workers.
+    trials shard over workers.  The digest is kept on the instance.
     """
-    digest = instance_digest(instance, prefer_lp=prefer_lp, dt=dt)
+    digest = instance._memo(
+        ("lb_digest", bool(prefer_lp), repr(dt)),
+        lambda: instance_digest(instance, prefer_lp=prefer_lp, dt=dt),
+    )
     cached = _memo.get(digest)
     if cached is not None:
         _count(hit=True)

@@ -78,11 +78,17 @@ class BroomstickReduction:
 
 
 def reduce_to_broomstick(tree: TreeNetwork) -> BroomstickReduction:
-    """Build the broomstick ``T'`` of ``tree`` per Section 3.3.
+    """The broomstick ``T'`` of ``tree`` per Section 3.3.
 
     The returned object carries the leaf correspondence map needed to
-    translate leaf assignments between the two trees.
+    translate leaf assignments between the two trees.  It is built once
+    per tree and kept on it, so every caller shares one reduction (and
+    one ``T'``): it must not be mutated.
     """
+    return tree._memo("broomstick", lambda: _build_broomstick(tree))
+
+
+def _build_broomstick(tree: TreeNetwork) -> BroomstickReduction:
     parent_map: dict[int, int | None] = {}
     names: dict[int, str] = {}
     next_id = 0

@@ -22,6 +22,9 @@ processing path          :meth:`TreeNetwork.processing_path` — the nodes a
 
 Instances are validated on construction against the model's structural
 requirements (single root, connectivity, no leaf adjacent to the root).
+Because a tree never changes, what is derived from it alone (the
+broomstick reduction, the compiled kernel's topology plans) is built on
+first use and kept on the tree, outside ``repr`` and pickles.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ class TreeNetwork:
         "_leaves_under",
         "_order",
         "_height",
+        "_kept",
     )
 
     def __init__(
@@ -183,6 +187,23 @@ class TreeNetwork:
         self._leaves_under = leaves_under
         self._order = tuple(order)
         self._height = max(depth.values())
+
+    def __getstate__(self):
+        # The kept derivations stay behind: they may hold ctypes data,
+        # which does not pickle, and they are rebuilt on first use.
+        return None, {
+            name: getattr(self, name) for name in self.__slots__ if name != "_kept"
+        }
+
+    def _memo(self, key, build):
+        """``build()``, built on first use and kept under ``key``."""
+        try:
+            kept = self._kept
+        except AttributeError:
+            kept = self._kept = {}
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
 
     # ------------------------------------------------------------------
     # basic accessors

@@ -333,13 +333,21 @@ class StreamSession:
 
     def idle(self) -> bool:
         """True when the arrival source is exhausted and no job is in
-        flight — nothing further can happen."""
+        flight — nothing further can happen.  Raises on a failed
+        session (see :meth:`step`)."""
         return self._engine.stream_idle()
 
     def step(self, *, until: float | None = None) -> float:
         """Advance the open system to ``until`` (default: the next
         window boundary), folding and retiring every window whose
         boundary passes on the way.  Returns the new :attr:`now`.
+
+        If the arrival source raises, this step re-raises its exception
+        and the session is failed: every later :meth:`step`,
+        :meth:`drain` and :meth:`idle` raises
+        :class:`~repro.exceptions.SimulationError` naming it (as
+        ``__cause__``), while :meth:`snapshot` and :meth:`close` still
+        read the state at the failure (see ``docs/streaming.md``).
         """
         if self._result is not None:
             raise SimulationError("session is closed")
@@ -415,11 +423,15 @@ class StreamSession:
     def _engine_step(self, until: float) -> None:
         """One engine step, then its finished jobs into the tallies."""
         engine = self._engine
-        engine.stream_step(until=until)
-        if self._recorder is None:
-            self._tally.arrivals_total += engine.step_arrivals
-            self._tally.arrivals_win += engine.step_arrivals
-        self._tally.fold_finished(*self._take_finished(self._want_records))
+        try:
+            engine.stream_step(until=until)
+            if self._recorder is None:
+                self._tally.arrivals_total += engine.step_arrivals
+                self._tally.arrivals_win += engine.step_arrivals
+        finally:
+            # A step whose arrival source raised still hands over the
+            # jobs it finished, so the snapshot stays consistent.
+            self._tally.fold_finished(*self._take_finished(self._want_records))
 
     def _fold_window(self, boundary: float) -> None:
         """Close the window ending at ``boundary``: roll up its stats,

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from repro.exceptions import SimulationError
 from repro.sim import engine as _engine
 from repro.sim.backends import c_build
-from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
 from repro.sim.counters import global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
@@ -71,6 +70,16 @@ BACKENDS = ("python", "c")
 
 #: Environment variable holding the default backend name.
 ENV_VAR = "REPRO_BACKEND"
+
+
+def __getattr__(name: str):
+    # The compiled backend's module is imported only where "c" is
+    # selected, so a python run never loads it.
+    if name == "CEngine":
+        from repro.sim.backends.c_backend import CEngine
+
+        return CEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,6 +214,8 @@ def simulate(
     """
     backend = select_backend(backend).effective
     if backend == "c" and not _needs_event_order(sink, until, collect_counters):
+        from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
+
         try:
             engine = CEngine(
                 instance,

@@ -24,14 +24,17 @@ the contract:
   (same schedule, slower execution).
 * **Marshal** — the tree-derived tables (preorder topology, speeds, the
   leaf root paths, the greedy and least-loaded layouts) form one
-  :class:`TopologyPlan`, built once per instance, speed profile and
-  priority kind and kept on the instance; a batch call adds the job
-  columns the instance keeps — release, size, id, policy size, SJF rank
-  and, in the unrelated setting, the n x leaves ``p_{j,v}`` matrix with
-  its per-leaf SJF ranks — so a warm call runs O(nodes) Python and none
-  per job; it allocates every output buffer and hands the kernel one
-  pointer-table struct (:class:`_KernelArgs`, field-for-field the C
-  ``KernelArgs``).
+  :class:`TopologyPlan`, built once per tree, endpoint setting, speed
+  profile and priority kind and kept on the tree, so every instance on
+  a tree shares it.  The plan also holds, per policy kind, one prebuilt
+  argument table (:class:`_KernelArgs`, field-for-field the C
+  ``KernelArgs``) carrying its tables' addresses and sizes.  A batch
+  call copies that table and writes into it only its scalars and the
+  raw addresses of its columns: the job columns the instance keeps —
+  release, size, id, policy size, SJF rank and, in the unrelated
+  setting, the n x leaves ``p_{j,v}`` matrix with its per-leaf SJF
+  ranks — and the output buffers it allocates.  A warm call runs no
+  Python per job and none per node.
 * **Assemble** — derive the result's five summary columns and both
   flow integrals (sequential prefix sums over the jobs in arrival order)
   from the output buffers with a few numpy operations, and hand the
@@ -75,9 +78,16 @@ from repro.baselines.policies import (
     RoundRobinAssignment,
 )
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
+from repro.network.tree import TreeNetwork
 from repro.sim.backends import c_build
 from repro.sim.counters import EngineCounters, global_counters
-from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
+from repro.sim.engine import (
+    AssignmentPolicy,
+    PriorityFn,
+    check_source,
+    fifo_priority,
+    sjf_priority,
+)
 from repro.sim.result import (
     JobRecord,
     JobRecords,
@@ -158,16 +168,18 @@ def _i32(values) -> np.ndarray:
 
 
 class TopologyPlan:
-    """The kernel's tree-derived tables for one instance, speed profile
+    """The kernel's tables for one tree, endpoint setting, speed profile
     and priority kind (see :func:`topology_plan`): dense preorder node
     indices (root excluded), each node's ancestor chain, leaf flag,
     speed and heap-key kind; every leaf's root path, in ``tree.leaves``
     order, so a leaf's slot is also its path id; and, built when a
-    plan first needs them, the layouts the greedy and least-loaded
-    plans read (:meth:`fields`)."""
+    policy kind first needs it, that kind's argument table
+    (:meth:`template`) with the greedy or least-loaded layout it reads.
+    The tables are never written after construction."""
 
-    def __init__(self, instance: Instance, speeds: SpeedProfile, prio_kind: int) -> None:
-        tree = instance.tree
+    def __init__(
+        self, tree: TreeNetwork, setting: Setting, speeds: SpeedProfile, prio_kind: int
+    ) -> None:
         root = tree.root
         order = [v for v in tree.node_ids if v != root]
         ni_of = {v: i for i, v in enumerate(order)}
@@ -187,8 +199,7 @@ class TopologyPlan:
         self.chain_off = np.zeros(m + 1, dtype=np.int32)
         self.chain_off[1:] = np.cumsum([len(ch) for ch in chains])
         self.chain_concat = _i32([a for ch in chains for a in ch])
-        identical = instance.setting is Setting.IDENTICAL
-        if prio_kind == 2 or identical:
+        if prio_kind == 2 or setting is Setting.IDENTICAL:
             self.enc = np.ones(m, dtype=np.uint8)
         else:
             self.enc = (is_leaf == 0).astype(np.uint8)
@@ -204,14 +215,18 @@ class TopologyPlan:
         self.leaf_ni = _i32([ni_of[v] for v in leaves])
         self.leaf_path = np.arange(len(leaves), dtype=np.int32)
         self._tree = tree
-        self._fields: dict[int, dict] = {}
+        # Per policy kind: its argument table, and the arrays whose raw
+        # addresses it carries (held here, since an address keeps
+        # nothing alive).
+        self._templates: dict[int, tuple[_KernelArgs, dict]] = {}
 
-    def fields(self, kind: int) -> dict:
-        """The ``KernelArgs`` fields the plan fills for policy kind
-        ``kind`` — sizes and table pointers — built on first use per
-        kind; the greedy and least-loaded layouts only for their own."""
-        fields = self._fields.get(kind)
-        if fields is None:
+    def template(self, kind: int) -> _KernelArgs:
+        """The prebuilt ``KernelArgs`` for policy kind ``kind`` — table
+        addresses and sizes, the finish tolerances — built on first use
+        per kind, with the greedy and least-loaded layouts only for
+        their own.  Callers copy it; it is never written."""
+        kept = self._templates.get(kind)
+        if kept is None:
             tables = dict(
                 chain_off=self.chain_off, chain_concat=self.chain_concat,
                 is_leaf=self.is_leaf, enc=self.enc, speed=self.speed,
@@ -223,15 +238,17 @@ class TopologyPlan:
                 tables.update(self._greedy_tables())
             elif kind == 2:
                 tables.update(self._least_loaded_tables())
-            fields = {name: _ptr(arr) for name, arr in tables.items()}
-            fields.update(
+            args = _KernelArgs(
                 policy_kind=kind, n_nodes=len(self.order), max_path=self.max_path,
                 n_leaves=len(self.leaf_ids), n_paths=len(self.paths),
                 n_entries=len(tables.get("entry_ni", ())),
                 n_tops=len(tables.get("tops_ni", ())),
+                ftol_atol=REMAINING_ATOL, ftol_rtol=REMAINING_RTOL,
             )
-            self._fields[kind] = fields
-        return fields
+            for name, arr in tables.items():
+                args.put(name, arr)
+            kept = self._templates[kind] = (args, tables)
+        return kept[0]
 
     def _greedy_tables(self) -> dict:
         """The root-adjacent entries of
@@ -290,14 +307,16 @@ class TopologyPlan:
 
 
 def topology_plan(instance: Instance, speeds: SpeedProfile, prio_kind: int) -> TopologyPlan:
-    """The instance's :class:`TopologyPlan`, built on first use and kept
-    on the instance under what it reads (the speed profile and the
-    priority kind)."""
+    """The :class:`TopologyPlan` of the instance's tree, built on first
+    use and kept on the tree under what else it reads (the endpoint
+    setting, the speed profile and the priority kind): every instance
+    on one tree shares it."""
+    tree, setting = instance.tree, instance.setting
     key = (
-        "c_plan", speeds.root_children, speeds.interior, speeds.leaves,
+        "c_plan", setting, speeds.root_children, speeds.interior, speeds.leaves,
         tuple(sorted(speeds.overrides.items())), prio_kind,
     )
-    return instance._memo(key, lambda: TopologyPlan(instance, speeds, prio_kind))
+    return tree._memo(key, lambda: TopologyPlan(tree, setting, speeds, prio_kind))
 
 
 def _leaf_slots(leaf_ids: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -357,14 +376,43 @@ def _resolve_static(plan: TopologyPlan, instance: Instance, policy):
     return slot.astype(np.int32), skip
 
 
-class _KernelArgs(ctypes.Structure):
+class _Table(ctypes.Structure):
+    """A kernel argument struct whose array fields are raw addresses
+    (``ctypes.c_void_p``, the width of the C pointers).  Subclasses list
+    their fields with :func:`_mirror`."""
+
+    _arrays: dict[str, np.dtype] = {}
+
+    def put(self, name: str, arr: np.ndarray | None) -> None:
+        """Point array field ``name`` at ``arr``'s data (``None``: NULL),
+        once ``arr`` is checked to hold C-contiguous elements of the
+        field's type.  An address keeps nothing alive: the caller holds
+        ``arr`` while the kernel may read it."""
+        if arr is not None:
+            want = self._arrays[name]
+            if arr.dtype != want or not arr.flags.c_contiguous:
+                raise TypeError(
+                    f"kernel field {name} needs a C-contiguous {want} array, "
+                    f"got {arr.dtype} (C-contiguous: {arr.flags.c_contiguous})"
+                )
+            arr = arr.ctypes.data
+        setattr(self, name, arr)
+
+
+def _mirror(fields):
+    """``(_fields_, _arrays)`` of a C struct given as ``(name, type)``
+    pairs in C order, where an array field's type is its element dtype
+    code (``"i4"``, ``"i8"``, ``"u1"``, ``"f8"``)."""
+    return (
+        [(name, ctypes.c_void_p if isinstance(t, str) else t) for name, t in fields],
+        {name: np.dtype(t) for name, t in fields if isinstance(t, str)},
+    )
+
+
+class _KernelArgs(_Table):
     """Field-for-field mirror of ``KernelArgs`` in ``engine_kernel.c``."""
 
-    _i32p = ctypes.POINTER(ctypes.c_int32)
-    _i64p = ctypes.POINTER(ctypes.c_int64)
-    _u8p = ctypes.POINTER(ctypes.c_uint8)
-    _f64p = ctypes.POINTER(ctypes.c_double)
-    _fields_ = [
+    _fields_, _arrays = _mirror([
         ("n_jobs", ctypes.c_int64),
         ("n_nodes", ctypes.c_int64),
         ("max_path", ctypes.c_int64),
@@ -380,80 +428,64 @@ class _KernelArgs(ctypes.Structure):
         ("weight", ctypes.c_double),
         ("ftol_atol", ctypes.c_double),
         ("ftol_rtol", ctypes.c_double),
-        ("chain_off", _i32p),
-        ("chain_concat", _i32p),
-        ("is_leaf", _u8p),
-        ("enc", _u8p),
-        ("speed", _f64p),
-        ("path_off", _i32p),
-        ("path_len", _i32p),
-        ("path_concat", _i32p),
-        ("rel", _f64p),
-        ("size", _f64p),
-        ("p_est", _f64p),
-        ("job_id", _i64p),
-        ("ftol_size", _f64p),
-        ("rank", _i64p),
-        ("job_path_id", _i32p),
-        ("job_skip", _i32p),
-        ("p_leaf_in", _f64p),
-        ("ftol_leaf_in", _f64p),
-        ("leaf_rank_in", _i64p),
-        ("leaf_id", _i64p),
-        ("leaf_ni", _i32p),
-        ("leaf_path", _i32p),
-        ("p_jv", _f64p),
-        ("rank_jv", _i32p),
-        ("entry_ni", _i32p),
-        ("entry_leaf_off", _i32p),
-        ("entry_leaf_slot", _i32p),
-        ("entry_leaf_steps", _f64p),
-        ("tops_ni", _i32p),
-        ("leaf_top", _i32p),
-        ("leaf_d", _f64p),
-        ("ev_time", _f64p),
-        ("ev_kind", _i32p),
-        ("ev_arg", _i32p),
-        ("out_path_id", _i32p),
-        ("out_avail", _f64p),
-        ("out_avail_cnt", _i32p),
-        ("out_comp", _f64p),
-        ("out_comp_cnt", _i32p),
-        ("out_deficit", _f64p),
-        ("out_cancel", _f64p),
-        ("out_num_events", _i64p),
-    ]
-
-
-_CTYPE = {
-    np.dtype(np.int32): ctypes.c_int32,
-    np.dtype(np.int64): ctypes.c_int64,
-    np.dtype(np.uint8): ctypes.c_uint8,
-    np.dtype(np.float64): ctypes.c_double,
-}
-
-
-def _ptr(arr: np.ndarray | None):
-    """``arr``'s data as a typed pointer (``None`` stays a NULL)."""
-    if arr is None:
-        return None
-    return arr.ctypes.data_as(ctypes.POINTER(_CTYPE[arr.dtype]))
+        ("chain_off", "i4"),
+        ("chain_concat", "i4"),
+        ("is_leaf", "u1"),
+        ("enc", "u1"),
+        ("speed", "f8"),
+        ("path_off", "i4"),
+        ("path_len", "i4"),
+        ("path_concat", "i4"),
+        ("rel", "f8"),
+        ("size", "f8"),
+        ("p_est", "f8"),
+        ("job_id", "i8"),
+        ("ftol_size", "f8"),
+        ("rank", "i8"),
+        ("job_path_id", "i4"),
+        ("job_skip", "i4"),
+        ("p_leaf_in", "f8"),
+        ("ftol_leaf_in", "f8"),
+        ("leaf_rank_in", "i8"),
+        ("leaf_id", "i8"),
+        ("leaf_ni", "i4"),
+        ("leaf_path", "i4"),
+        ("p_jv", "f8"),
+        ("rank_jv", "i4"),
+        ("entry_ni", "i4"),
+        ("entry_leaf_off", "i4"),
+        ("entry_leaf_slot", "i4"),
+        ("entry_leaf_steps", "f8"),
+        ("tops_ni", "i4"),
+        ("leaf_top", "i4"),
+        ("leaf_d", "f8"),
+        ("ev_time", "f8"),
+        ("ev_kind", "i4"),
+        ("ev_arg", "i4"),
+        ("out_path_id", "i4"),
+        ("out_avail", "f8"),
+        ("out_avail_cnt", "i4"),
+        ("out_comp", "f8"),
+        ("out_comp_cnt", "i4"),
+        ("out_deficit", "f8"),
+        ("out_cancel", "f8"),
+        ("out_num_events", "i8"),
+    ])
 
 
 def _kernel_args(plan: TopologyPlan, *, kind: int, weight: float, **columns) -> _KernelArgs:
-    """The plan's fields for ``kind`` plus ``columns`` (array fields by
-    name, scalar fields by value; ``None`` stays NULL) as one
-    :class:`_KernelArgs`."""
-    fields = dict(plan.fields(kind))
+    """A copy of the plan's argument table for ``kind`` with ``columns``
+    written in (array fields as raw addresses, scalar fields by value;
+    ``None`` stays NULL).  The caller keeps the arrays referenced until
+    the kernel returns."""
+    args = _KernelArgs.from_buffer_copy(plan.template(kind))
+    args.weight = weight if kind != 0 else 0.0
     for name, value in columns.items():
-        if value is not None:
-            fields[name] = _ptr(value) if isinstance(value, np.ndarray) else value
-    return _KernelArgs(
-        weight=weight if kind != 0 else 0.0,
-        ftol_atol=REMAINING_ATOL,
-        ftol_rtol=REMAINING_RTOL,
-        **fields,
-    )
+        if isinstance(value, np.ndarray):
+            args.put(name, value)
+        elif value is not None:
+            setattr(args, name, value)
+    return args
 
 
 def _raise_status(status: int, max_events) -> None:
@@ -685,61 +717,53 @@ class CEngine:
         )
 
 
-class _StepArgs(ctypes.Structure):
+class _StepArgs(_Table):
     """Field-for-field mirror of ``StepArgs`` in ``engine_kernel.c``."""
 
-    _i32p = ctypes.POINTER(ctypes.c_int32)
-    _i64p = ctypes.POINTER(ctypes.c_int64)
-    _f64p = ctypes.POINTER(ctypes.c_double)
-    _fields_ = [
+    _fields_, _arrays = _mirror([
         ("n", ctypes.c_int64),
         ("until", ctypes.c_double),
-        ("at", _f64p),
-        ("rel", _f64p),
-        ("size", _f64p),
-        ("p_est", _f64p),
-        ("est", _f64p),
-        ("job_id", _i64p),
-        ("p_jv", _f64p),
-        ("leaf_slot", _i32p),
-        ("skip", _i32p),
+        ("at", "f8"),
+        ("rel", "f8"),
+        ("size", "f8"),
+        ("p_est", "f8"),
+        ("est", "f8"),
+        ("job_id", "i8"),
+        ("p_jv", "f8"),
+        ("leaf_slot", "i4"),
+        ("skip", "i4"),
         ("out_cap", ctypes.c_int64),
         ("n_out", ctypes.c_int64),
-        ("out_id", _i64p),
-        ("out_rel", _f64p),
-        ("out_comp", _f64p),
-        ("out_est", _f64p),
-        ("out_deficit", _f64p),
-        ("out_leaf", _i32p),
-        ("out_skip", _i32p),
-        ("out_avail", _f64p),
-        ("out_avail_cnt", _i32p),
-        ("out_hops", _f64p),
-        ("out_hops_cnt", _i32p),
-        ("busy", _f64p),
-        ("depth", _i64p),
-        ("qvol", _f64p),
-        ("through", _i64p),
+        ("out_id", "i8"),
+        ("out_rel", "f8"),
+        ("out_comp", "f8"),
+        ("out_est", "f8"),
+        ("out_deficit", "f8"),
+        ("out_leaf", "i4"),
+        ("out_skip", "i4"),
+        ("out_avail", "f8"),
+        ("out_avail_cnt", "i4"),
+        ("out_hops", "f8"),
+        ("out_hops_cnt", "i4"),
+        ("busy", "f8"),
+        ("depth", "i8"),
+        ("qvol", "f8"),
+        ("through", "i8"),
         ("num_events", ctypes.c_int64),
         ("n_live", ctypes.c_int64),
         ("evicted_alive", ctypes.c_double),
         ("evicted_frac", ctypes.c_double),
-    ]
+    ])
 
 
-#: The step's arrival columns (``_StepArgs`` fields) and their dtypes.
-_IN_COLUMNS = {
-    "at": np.float64, "rel": np.float64, "size": np.float64,
-    "p_est": np.float64, "est": np.float64, "job_id": np.int64,
-    "leaf_slot": np.int32, "skip": np.int32,
-}
+#: The step's arrival columns (``_StepArgs`` fields).
+_IN_COLUMNS = ("at", "rel", "size", "p_est", "est", "job_id", "leaf_slot", "skip")
 
 #: The finished (or in-flight) rows it hands back.
-_OUT_COLUMNS = {
-    "out_id": np.int64, "out_rel": np.float64, "out_comp": np.float64,
-    "out_est": np.float64, "out_deficit": np.float64, "out_leaf": np.int32,
-    "out_skip": np.int32, "out_avail_cnt": np.int32, "out_hops_cnt": np.int32,
-}
+_OUT_COLUMNS = (
+    "out_id", "out_rel", "out_comp", "out_est", "out_deficit", "out_leaf",
+    "out_skip", "out_avail_cnt", "out_hops_cnt",
+)
 
 
 class CStreamEngine:
@@ -793,7 +817,7 @@ class CStreamEngine:
         self._step_ref = ctypes.byref(self._step)
         m = len(plan.order)
         self._busy = np.zeros(m, dtype=np.float64)
-        self._step.busy = _ptr(self._busy)
+        self._step.put("busy", self._busy)
         self._in_cap = self._out_cap = 0
         self._grow_in(16)
         self._grow_out(64)
@@ -804,6 +828,7 @@ class CStreamEngine:
         self.step_arrivals = 0  # jobs the last step admitted
         self._arrivals_iter = None
         self._pending_job = None
+        self._source_error: BaseException | None = None
         self._result: SimulationResult | None = None
         self._counters = EngineCounters(runs=1) if global_counters() is not None else None
 
@@ -811,31 +836,31 @@ class CStreamEngine:
     def _grow_in(self, need: int) -> None:
         cap = max(need, 2 * self._in_cap)
         step = self._step
-        for name, dtype in _IN_COLUMNS.items():
-            arr = np.zeros(cap, dtype=dtype)
+        for name in _IN_COLUMNS:
+            arr = np.zeros(cap, dtype=step._arrays[name])
             setattr(self, "_" + name, arr)
-            setattr(step, name, _ptr(arr))
+            step.put(name, arr)
         # Set per step by _resolve, when some job starts at a router.
         step.skip = None
         if self._kind != 0:
             step.leaf_slot = None
         if self._unrelated:
             self._p_jv = np.zeros((cap, len(self._leaves)), dtype=np.float64)
-            step.p_jv = _ptr(self._p_jv)
+            step.put("p_jv", self._p_jv)
         self._in_cap = cap
 
     def _grow_out(self, need: int) -> None:
         cap = max(need, 2 * self._out_cap)
         step = self._step
-        for name, dtype in _OUT_COLUMNS.items():
-            arr = np.zeros(cap, dtype=dtype)
+        for name in _OUT_COLUMNS:
+            arr = np.zeros(cap, dtype=step._arrays[name])
             setattr(self, "_" + name, arr)
-            setattr(step, name, _ptr(arr))
+            step.put(name, arr)
         mp = self._plan.max_path
         self._out_avail = np.zeros((cap, mp), dtype=np.float64)
         self._out_hops = np.zeros((cap, mp), dtype=np.float64)
-        step.out_avail = _ptr(self._out_avail)
-        step.out_hops = _ptr(self._out_hops)
+        step.put("out_avail", self._out_avail)
+        step.put("out_hops", self._out_hops)
         step.out_cap = cap
         self._out_cap = cap
 
@@ -850,17 +875,25 @@ class CStreamEngine:
         if self._arrivals_iter is not None:
             raise SimulationError("a CStreamEngine instance can only run once")
         self._arrivals_iter = iter(arrivals)
-        self._pending_job = next(self._arrivals_iter, None)
+        try:
+            self._pending_job = next(self._arrivals_iter, None)
+        except BaseException as exc:
+            self._source_error = exc
+            raise
 
     def stream_idle(self) -> bool:
+        check_source(self._source_error)
         return self._pending_job is None and not self._alive
 
     def stream_step(self, *, until: float) -> float:
         """Advance the stream exactly to ``until`` (see
         :meth:`Engine.stream_step`); the jobs that finished are then
-        readable through :meth:`take_finished`."""
+        readable through :meth:`take_finished`.  A step whose arrival
+        source raises re-raises that exception having admitted none of
+        its jobs, and fails the stream as the python engine's does."""
         if self._arrivals_iter is None:
             raise SimulationError("stream_step() before stream_start()")
+        check_source(self._source_error)
         if self._result is not None:
             raise SimulationError("stream_step() after stream_result()")
         if until < self.now - CLOCK_EPS:
@@ -923,7 +956,11 @@ class CStreamEngine:
                 )
             jobs.append(job)
             at.append(clock)
-            job = next(it, None)
+            try:
+                job = next(it, None)
+            except BaseException as exc:
+                self._source_error = exc
+                raise
         self._pending_job = job
         self._clock = clock
         k = len(jobs)
@@ -971,7 +1008,7 @@ class CStreamEngine:
             elif skip is not None:
                 skip[start:end] = 0
             start = end
-        self._step.skip = _ptr(self._skip) if skip is not None else None
+        self._step.put("skip", self._skip if skip is not None else None)
 
     def take_finished(self, records: bool):
         """The jobs the last step finished, in (completion time, id)
@@ -1022,7 +1059,9 @@ class CStreamEngine:
         depth = np.zeros(m, dtype=np.int64)
         qvol = np.zeros(m, dtype=np.float64)
         through = np.zeros(m, dtype=np.int64)
-        step.depth, step.qvol, step.through = _ptr(depth), _ptr(qvol), _ptr(through)
+        step.put("depth", depth)
+        step.put("qvol", qvol)
+        step.put("through", through)
         step.until = self.now
         if self._alive > self._out_cap:
             self._grow_out(self._alive)

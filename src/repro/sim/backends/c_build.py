@@ -27,7 +27,12 @@ reproduce exactly *provided the compiler does not rewrite the ops*:
 compiler identity line, the exact flag list and the kernel ABI version,
 so editing the source, switching compilers, changing flags or bumping
 the ABI each land in a fresh cache slot — a stale ``.so`` can never be
-loaded.  As a second line of defence the loaded library's
+loaded.  A damaged one is never loaded either: each build records the
+library's SHA-256 beside it (``<library>.sha256``), and a cached library
+whose bytes do not match its record — truncated, overwritten, or cached
+before records existed — is rebuilt into its slot before anything maps
+it (mapping a truncated shared object can kill the process with
+SIGBUS).  As a last line of defence the loaded library's
 ``repro_abi_version()`` export is checked against :data:`ABI_VERSION`.
 
 **Availability.**  Everything degrades gracefully: no compiler on PATH
@@ -152,17 +157,36 @@ def _cache_key(source_text: str, cc_version: str, flags: tuple[str, ...]) -> str
     return h.hexdigest()[:32]
 
 
+def _record_path(lib: Path) -> Path:
+    return lib.with_name(lib.name + ".sha256")
+
+
+def _file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _intact(lib: Path) -> bool:
+    """Whether ``lib`` holds the bytes its build recorded."""
+    try:
+        return _record_path(lib).read_text() == _file_digest(lib)
+    except OSError:
+        return False
+
+
 def build_library(
     *,
     cc: str | None = None,
     source_text: str | None = None,
 ) -> Path:
-    """Compile the kernel (if not cached) and return the library path.
+    """Compile the kernel (if not cached intact) and return the library
+    path.
 
-    The compile runs in a scratch directory and the result is moved into
-    the cache slot atomically (``os.replace``), so concurrent builders
-    race benignly.  Raises :class:`CKernelUnavailable` with the compiler
-    diagnostics on failure.
+    The compile runs in a scratch directory; the library's digest record
+    and then the library are moved into the cache slot atomically
+    (``os.replace``), so concurrent builds, whose outputs are
+    identical, race benignly.  A cached library that does not match its
+    record is rebuilt.  Raises :class:`CKernelUnavailable` with the
+    compiler diagnostics on failure.
     """
     if cc is None:
         cc = find_compiler()
@@ -178,7 +202,7 @@ def build_library(
     flags = base_cflags()
     key = _cache_key(source_text, cc_version, flags)
     lib = cache_dir() / f"engine_kernel-{key}.so"
-    if lib.exists():
+    if _intact(lib):
         return lib
     lib.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
@@ -196,6 +220,9 @@ def build_library(
                 f"compiling the engine kernel with {cc!r} failed:\n"
                 + (proc.stderr or proc.stdout).strip()
             )
+        record = Path(tmp) / "record"
+        record.write_text(_file_digest(out))
+        os.replace(record, _record_path(lib))
         os.replace(out, lib)
     return lib
 

@@ -94,6 +94,16 @@ __all__ = [
 PriorityFn = Callable[[Instance, Job, int], tuple]
 
 
+def check_source(error: BaseException | None) -> None:
+    """Raise what every call on a failed stream raises: a
+    :class:`SimulationError` naming the exception its arrival source
+    raised (``None``: the stream has not failed)."""
+    if error is not None:
+        raise SimulationError(
+            f"the stream failed: its arrival source raised {error!r}"
+        ) from error
+
+
 def sjf_priority(instance: Instance, job: Job, node: int) -> tuple:
     """Shortest-Job-First by original processing time on the node.
 
@@ -577,6 +587,8 @@ class Engine:
         # the lazy arrival source and its one-job lookahead.
         self._arrivals_iter: Iterator[Job] | None = None
         self._pending_job: Job | None = None
+        # What the arrival source raised, once it has (see stream_step).
+        self._source_error: BaseException | None = None
         self._result: SimulationResult | None = None
         self._run_seconds = 0.0
         if collect_counters is None:
@@ -1143,7 +1155,11 @@ class Engine:
             raise SimulationError("an Engine instance can only run once")
         self._finished = True
         self._arrivals_iter = iter(arrivals)
-        self._pending_job = next(self._arrivals_iter, None)
+        try:
+            self._pending_job = next(self._arrivals_iter, None)
+        except BaseException as exc:
+            self._source_error = exc
+            raise
 
     def _stream_loop(self, until: float | None) -> None:
         """Process events (admissions and completions) in time order.
@@ -1238,7 +1254,11 @@ class Engine:
                         sink.before_advance(next_arrival)
                     self._advance(next_arrival)
                     self._handle_arrival(pending)
-                    pending = next(it, None)
+                    try:
+                        pending = next(it, None)
+                    except BaseException as exc:
+                        self._source_error = exc
+                        raise
                     if counters is not None:
                         counters.events_processed += 1
                         counters.arrivals += 1
@@ -1260,9 +1280,17 @@ class Engine:
         in-flight work keeps running across steps — so per-job results
         are bit-identical however the timeline is sliced into steps.
         Returns the new :attr:`now` (== ``until``).
+
+        A step whose arrival source raises re-raises that exception,
+        with every event before the failing pull processed.  The stream
+        is then failed: every later ``stream_step`` and
+        :meth:`stream_idle` raises :class:`SimulationError` naming it
+        (as ``__cause__``), while :meth:`stream_result` still builds
+        the result at the failure.
         """
         if self._arrivals_iter is None:
             raise SimulationError("stream_step() before stream_start()")
+        check_source(self._source_error)
         if self._result is not None:
             raise SimulationError("stream_step() after stream_result()")
         if until < self.now - CLOCK_EPS:
@@ -1275,7 +1303,9 @@ class Engine:
     def stream_idle(self) -> bool:
         """True when the stream can produce no further events: the
         arrival source is exhausted and no admitted job is alive (any
-        events left on the heap are provably stale)."""
+        events left on the heap are provably stale).  Raises on a failed
+        stream (see :meth:`stream_step`)."""
+        check_source(self._source_error)
         return self._pending_job is None and not self._alive
 
     def stream_result(self, *, verify: bool = False) -> SimulationResult:

@@ -55,10 +55,12 @@ class Instance:
         Optional label used in experiment reports.
 
     The derived matrices (:meth:`leaf_size_matrix`,
-    :meth:`leaf_size_ranks`, :meth:`feasible_mask`) and the compiled
-    kernel's topology plan are built on first use and kept, read-only
-    and unpickled, outside ``==`` and ``repr``: the tree and the jobs
-    are immutable, so they never go stale.
+    :meth:`leaf_size_ranks`, :meth:`feasible_mask`), the broomstick
+    translations (:meth:`on_broomstick`) and the lower-bound digest are
+    built on first use and kept, read-only and unpickled, outside ``==``
+    and ``repr``: the tree and the jobs are immutable, so they never go
+    stale.  The compiled kernel's topology plans read only the tree, so
+    they are kept on the tree (see :meth:`TreeNetwork._memo`).
     """
 
     tree: TreeNetwork
@@ -328,12 +330,21 @@ class Instance:
         Router sizes are unchanged; in the unrelated setting each job's
         leaf mapping is re-keyed through the reduction's leaf
         correspondence (Section 3.3: a copied leaf keeps the original
-        leaf's processing time).
+        leaf's processing time).  Built once per reduction and kept, so
+        repeated calls share one instance.
         """
         if reduction.original is not self.tree and (
             reduction.original.parent_map() != self.tree.parent_map()
         ):
             raise WorkloadError("reduction was built from a different tree")
+        # A reduction holds dicts, so it is keyed by identity; the entry
+        # keeps it alive, so its id cannot be reused while kept.
+        return self._memo(
+            ("broomstick", id(reduction)),
+            lambda: (reduction, self._translate(reduction)),
+        )[1]
+
+    def _translate(self, reduction: BroomstickReduction) -> "Instance":
         if self.setting is Setting.IDENTICAL:
             jobs = self.jobs
         else:

@@ -3,10 +3,16 @@ default) and one availability policy for every entry point."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import SimulationError
 from repro.sim.backends import (
     BACKENDS,
@@ -103,3 +109,32 @@ class TestSharedByEntryPoints:
         assert backend_available("python") == (True, None)
         with pytest.raises(SimulationError):
             backend_available("fortran")
+
+
+
+class TestCBackendImport:
+    """The compiled backend's module is imported only where ``c`` is
+    selected."""
+
+    def test_python_run_does_not_import_it(self):
+        code = textwrap.dedent("""
+            import sys
+            from repro.core.assignment import GreedyIdenticalAssignment
+            from repro.network.builders import kary_tree
+            from repro.sim import backends
+            from repro.workload.instance import Instance, Setting
+            from repro.workload.job import JobSet
+
+            jobs = JobSet.build([0.0, 0.5, 1.0], [1.0, 2.0, 1.5])
+            inst = Instance(kary_tree(2, 3), jobs, Setting.IDENTICAL)
+            backends.simulate(inst, GreedyIdenticalAssignment(0.25), backend="python")
+            assert "repro.sim.backends.c_backend" not in sys.modules
+            assert backends.CEngine.__module__ == "repro.sim.backends.c_backend"
+        """)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,7 @@ one seeded end-to-end parity check on the S1 benchmark workload.
 
 from __future__ import annotations
 
+import ctypes
 import subprocess
 from types import SimpleNamespace
 
@@ -71,7 +72,10 @@ class TestResultAssembly:
 
         def truncating_run(args_ref):
             status = kernel_run(args_ref)
-            args_ref._obj.out_comp_cnt[3] = 1
+            comp_cnt = ctypes.cast(
+                args_ref._obj.out_comp_cnt, ctypes.POINTER(ctypes.c_int32)
+            )
+            comp_cnt[3] = 1
             return status
 
         eng._dll = SimpleNamespace(repro_run=truncating_run)

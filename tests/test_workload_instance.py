@@ -8,9 +8,11 @@ import pickle
 
 import pytest
 
+from repro.baselines.policies import ClosestLeafAssignment
 from repro.exceptions import WorkloadError
 from repro.network.broomstick import reduce_to_broomstick
 from repro.network.builders import kary_tree, star_of_paths
+from repro.sim import backends
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job, JobSet
 
@@ -115,8 +117,15 @@ class TestKeptMatrices:
     def test_kept_matrices_are_outside_eq_repr_and_pickle(self, two_path_tree):
         inst = self._instance(two_path_tree)
         blank = pickle.dumps(inst)
+        tree_blank = (pickle.dumps(inst.tree), repr(inst.tree))
         twin = dataclasses.replace(inst)
         inst.leaf_size_ranks()
+        # What the tree keeps: the broomstick reduction and, after a c
+        # call, the kernel's plan with its ctypes argument tables.
+        inst.on_broomstick(reduce_to_broomstick(inst.tree))
+        if backends.backend_available("c")[0]:
+            backends.simulate(inst, ClosestLeafAssignment(), backend="c")
+        assert (pickle.dumps(inst.tree), repr(inst.tree)) == tree_blank
         assert inst == twin and repr(inst) == repr(twin)
         assert pickle.dumps(inst) == blank
         clone = pickle.loads(blank)
