@@ -364,7 +364,6 @@ def open_system(
     events: "EventSchedule | None" = None,
     on_finish=None,
     on_cancel=None,
-    evict: bool = True,
     name: str = "open-system",
 ) -> "StreamSession":
     """Open a streaming (open-system) session; keyword-only throughout.
@@ -373,11 +372,12 @@ def open_system(
     ``step(until=...)`` / ``drain()`` / ``snapshot()`` / ``close()`` —
     fed incrementally from ``arrivals``, which may be an *infinite*
     generator (see :func:`repro.workload.arrivals.job_stream`).  Jobs
-    are admitted lazily, evicted on completion (``evict=True``), and
-    aggregated into per-window and cumulative steady-state metrics, so
-    memory is bounded by the work in flight rather than the length of
-    the stream.  Batch :func:`simulate` is the closed special case of
-    this path (finite source, single step, no eviction).
+    are admitted lazily, evicted from the engine when they finish or
+    are cancelled, and aggregated into per-window and cumulative
+    steady-state metrics, so memory is bounded by the work in flight
+    rather than the length of the stream.  Batch :func:`simulate` is
+    the closed special case of this path (finite source, single step,
+    no eviction).
 
     Parameters
     ----------
@@ -401,21 +401,22 @@ def open_system(
         across steps whenever the kernel plans the policy, priority and
         setting (every built-in policy and priority, as for
         :func:`simulate`); a session asking for ``record_points``,
-        ``record_spans``, ``check_invariants``, ``events`` or
-        ``evict=False`` — or one the kernel cannot plan — warns with
-        the reason and runs on the python engine, the only one with
-        per-event traces, invariant audits and dynamic events in
-        streams.  Both engines produce the same snapshots, windows,
-        callbacks and final result.  A router-origin job reaching a
-        greedy or least-loaded c session raises
-        :class:`~repro.exceptions.SimulationError`: those kernel plans
-        dispatch root-origin jobs only.
+        ``record_spans``, ``check_invariants`` or ``events`` — or one
+        the kernel cannot plan — warns with the reason and runs on the
+        python engine, the only one with per-event traces, invariant
+        audits and dynamic events in streams.  Both engines produce the
+        same snapshots, windows, callbacks and final result.  A
+        router-origin job reaching a greedy or least-loaded c session
+        raises :class:`~repro.exceptions.SimulationError`: those kernel
+        plans dispatch root-origin jobs only.
     window / keep_windows / check_invariants / record_points /
-    record_spans / histogram / events / on_finish / on_cancel / evict:
+    record_spans / histogram / events / on_finish / on_cancel:
         Forwarded to :class:`~repro.service.session.StreamSession`.
         ``events`` schedules dynamic node outages/cancellations;
         cancelled jobs surface through ``on_cancel`` and the session's
-        ``cancelled`` counters, never as completions.
+        ``cancelled`` counters, never as completions.  The callbacks
+        run at the end of each engine step; one that raises fails the
+        session, as a raising arrival source does.
     name:
         Label for the context built from ``tree``.
     """
@@ -456,7 +457,6 @@ def open_system(
         events=events,
         on_finish=on_finish,
         on_cancel=on_cancel,
-        evict=evict,
         backend=backends.select_backend(backend).effective,
     )
 

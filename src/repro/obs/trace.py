@@ -227,7 +227,7 @@ class SimulationTrace:
         )
 
 
-def crosscheck_trace(result) -> list[str]:
+def crosscheck_trace(result, *, evicted=()) -> list[str]:
     """Cross-check a run's trace against its other outputs.
 
     Takes a :class:`~repro.sim.result.SimulationResult` produced with
@@ -254,16 +254,23 @@ def crosscheck_trace(result) -> list[str]:
     that would live in retired windows are allowed to be absent, and the
     service-span multiset need only be contained in the segments rather
     than equal to them.
+
+    ``evicted`` takes the records an evicting run handed out instead of
+    keeping (a streaming session's ``on_finish`` / ``on_cancel``
+    records); they are checked as the result's own, so a lifecycle
+    record still in the trace's unretired tail has its job's record.
     """
     problems: list[str] = []
     trace = result.trace
     if trace is None:
         return ["result has no trace; run with sink=TraceRecorder()"]
+    records = {rec.job_id: rec for rec in evicted}
+    records.update(result.records)
     retired = bool(trace.meta.get("retired"))
     finishes = {p.job_id: p for p in trace.points_of("finish")}
     if len(finishes) != len(trace.points_of("finish")):
         problems.append("duplicate finish points")
-    for jid, rec in result.records.items():
+    for jid, rec in records.items():
         if not rec.finished:
             continue
         p = finishes.get(jid)
@@ -279,7 +286,7 @@ def crosscheck_trace(result) -> list[str]:
                 f"job {jid}: finish point on node {p.node}, leaf is {rec.path[-1]}"
             )
     arrivals = {p.job_id: p for p in trace.points_of("arrival")}
-    for jid, rec in result.records.items():
+    for jid, rec in records.items():
         p = arrivals.get(jid)
         if p is None:
             if not retired:
@@ -315,7 +322,7 @@ def crosscheck_trace(result) -> list[str]:
     cancels = {e.job_id: e for e in trace.events_of("cancel")}
     if len(cancels) != len(trace.events_of("cancel")):
         problems.append("duplicate cancel events")
-    for jid, rec in result.records.items():
+    for jid, rec in records.items():
         if rec.cancelled:
             e = cancels.pop(jid, None)
             if e is None:
@@ -329,7 +336,7 @@ def crosscheck_trace(result) -> list[str]:
     for jid in cancels:
         problems.append(f"cancel event for job {jid} which is not cancelled")
     reveals = {e.job_id: e for e in trace.events_of("reveal")}
-    for jid, rec in result.records.items():
+    for jid, rec in records.items():
         if not rec.finished or rec.size_estimate is None:
             continue
         e = reveals.get(jid)
@@ -369,7 +376,6 @@ class TraceRecorder(EngineSink):
         self._interval = self.config.gauge_interval
         self._sample_k = 1  # index of the next cadence point
         self._last_sample_t = 0.0
-        self._busy_acc: dict[int, float] = {}
         self._busy_at_last: dict[int, float] = {}
         self._gauge_ids: tuple[int, ...] = ()
         self._record_points = self.config.record_points
@@ -395,7 +401,6 @@ class TraceRecorder(EngineSink):
                 )
             node_ids = tuple(self.config.gauge_nodes)
         self._gauge_ids = node_ids
-        self._busy_acc = {v: 0.0 for v in engine._nodes}
         self._busy_at_last = {v: 0.0 for v in node_ids}
 
     def on_arrival(self, time: float, job_id: int, leaf: int) -> None:
@@ -433,10 +438,8 @@ class TraceRecorder(EngineSink):
 
     def on_service(self, node: int, job_id: int, start: float, end: float) -> None:
         """A maximal (node, job) processing interval just closed."""
-        if end > start:
-            self._busy_acc[node] += end - start
-            if self._record_spans:
-                self._service.append(TraceSpan("service", start, end, job_id, node))
+        if self._record_spans:
+            self._service.append(TraceSpan("service", start, end, job_id, node))
 
     def before_advance(self, t: float) -> None:
         """Emit gauge samples at every cadence point up to (and
@@ -500,24 +503,7 @@ class TraceRecorder(EngineSink):
             self._retired[key] = self._retired.get(key, 0) + n
         return dropped
 
-    def cumulative_busy(self, node: int, at: float) -> float:
-        """Exact total busy time of ``node`` over ``[0, at]``, including
-        the in-flight partial of the active service span.  Unaffected by
-        :meth:`retire` (the accumulator survives pruning) — this is the
-        cumulative-utilization read of the streaming session."""
-        return self._cum_busy(node, at)
-
     # -- internals ------------------------------------------------------
-    def _cum_busy(self, node: int, at: float) -> float:
-        """Exact cumulative busy time of ``node`` up to time ``at``
-        (settled spans plus the in-flight partial)."""
-        eng = self._engine
-        total = self._busy_acc[node]
-        ns = eng._nodes[node]
-        if ns.active_id is not None and at > ns.active_started:
-            total += at - ns.active_started
-        return total
-
     def _sample(self, at: float) -> None:
         eng = self._engine
         window = at - self._last_sample_t
@@ -530,7 +516,11 @@ class TraceRecorder(EngineSink):
                     qvol = 0.0
             else:
                 qvol = 0.0
-            cum = self._cum_busy(v, at)
+            # The engine's busy time of the closed spans, plus the
+            # running one's up to ``at``.
+            cum = ns.busy
+            if ns.active_id is not None and at > ns.active_started:
+                cum += at - ns.active_started
             busy = cum - self._busy_at_last[v]
             if busy < 0.0:  # pragma: no cover - float guard
                 busy = 0.0

@@ -10,7 +10,7 @@ Three pieces, all O(1) memory per recorded value:
 * :class:`WindowStats` — the closed-window roll-up the session emits
   every time a window boundary passes: arrival/completion rates, the
   window's flow-time percentiles and exact per-node utilization (from
-  the recorder's windowed gauges).
+  the engine's per-node busy time).
 * :class:`StreamSnapshot` — the cumulative live view behind
   ``StreamSession.snapshot()`` and the HTTP ``/snapshot`` endpoint,
   serialised under the ``snapshot/v1`` schema and checked by
@@ -133,8 +133,8 @@ class StreamingHistogram:
 class WindowStats:
     """Roll-up of one closed aggregation window ``(start, end]``.
 
-    ``utilization`` is exact (from the recorder's windowed busy-time
-    gauges); ``flow`` is the window's completion flow-time summary in
+    ``utilization`` is exact (from the engine's per-node busy time);
+    ``flow`` is the window's completion flow-time summary in
     :meth:`StreamingHistogram.summary` shape.  ``cancelled`` counts jobs
     withdrawn by a dynamic :class:`~repro.workload.events.Cancel` event
     inside the window — they are *not* completions and contribute

@@ -6,26 +6,30 @@ folding metrics window by window:
 
 * jobs are admitted one lookahead at a time, never materialised as an
   :class:`~repro.workload.instance.Instance` job set;
-* finished jobs are **evicted** from the engine the moment they complete
-  (``evict=True``); their flow times land in fixed-bin streaming
-  histograms (:mod:`repro.service.metrics`) — cumulative and per-window
-  — so memory is bounded by the number of jobs *in flight*, not the
-  number streamed;
+* finished and cancelled jobs are **evicted** from the engine the
+  moment they end; the engine holds their records until the session
+  takes them at the end of each engine step (``take_finished``), folds
+  the flow times into fixed-bin streaming histograms
+  (:mod:`repro.service.metrics`) — cumulative and per-window — and
+  hands the records to the callbacks, so memory is bounded by the
+  number of jobs *in flight*, not the number streamed;
 * per-node utilization is the exact busy time each engine reports at a
-  window boundary, differenced against the previous one, and the trace
-  recorder's points/spans/gauges are *retired* as each window closes
+  window boundary, differenced against the previous one; a session
+  traced with ``record_points`` / ``record_spans`` *retires* its
+  recorder's records as each window closes
   (:meth:`~repro.obs.trace.TraceRecorder.retire`), keeping the trace
   bounded too.
 
 A session runs on the python engine (:class:`~repro.sim.engine.Engine`)
 or, when ``backend="c"`` and the compiled kernel plans the policy,
 priority and setting, on a kernel session
-(:class:`~repro.sim.backends.c_backend.CStreamEngine`); both hand each
-engine step's finished jobs over in (completion time, job id) order, so
-the histograms, callbacks and integrals agree exactly.  The python
-engine is the only one for per-event traces, invariant checks, dynamic
-events and ``evict=False``; a c session asked for one of them warns and
-runs python.
+(:class:`~repro.sim.backends.c_backend.CStreamEngine`).  Both report
+each step's admissions, its ended jobs in (terminal time, job id)
+order and every node's busy time through the same interface, so one
+fold serves both and the histograms, callbacks and integrals agree
+exactly.  The python engine is the only one for per-event traces,
+invariant checks and dynamic events; a c session asked for one of them
+warns and runs python.
 
 The batch path is the closed special case: :func:`repro.api.simulate`
 is one uninterrupted step over a finite source with eviction off.
@@ -41,19 +45,13 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
-from repro.obs.trace import (
-    GaugeSample,
-    SimulationTrace,
-    TraceConfig,
-    TracePoint,
-    TraceRecorder,
-)
+from repro.obs.trace import GaugeSample, SimulationTrace, TraceConfig, TraceRecorder
 from repro.service.metrics import StreamingHistogram, StreamSnapshot, WindowStats
 from repro.sim.engine import Engine, PriorityFn, sjf_priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import AssignmentPolicy
-    from repro.sim.result import JobRecord, SimulationResult
+    from repro.sim.result import SimulationResult
     from repro.sim.speed import SpeedProfile
     from repro.workload.events import EventSchedule
     from repro.workload.instance import Instance
@@ -62,80 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["StreamSession"]
 
 
-class _Tally:
-    """A session's counts, flow histograms and callbacks, fed by either
-    engine."""
-
-    def __init__(self, cum_hist, win_hist, on_finish, on_cancel) -> None:
-        self.cum_hist = cum_hist
-        self.win_hist = win_hist
-        self.user_on_finish = on_finish
-        self.user_on_cancel = on_cancel
-        self.arrivals_total = self.completions_total = self.cancelled_total = 0
-        self.arrivals_win = self.completions_win = self.cancelled_win = 0
-
-    def fold_finished(self, flows, records) -> None:
-        """Fold one engine step's finished jobs, already in (completion
-        time, job id) order: histograms, counts, then callbacks."""
-        cum, win = self.cum_hist.add, self.win_hist.add
-        for flow in flows:
-            cum(flow)
-            win(flow)
-        self.completions_total += len(flows)
-        self.completions_win += len(flows)
-        if self.user_on_finish is not None:
-            for record in records:
-                self.user_on_finish(record)
-
-
-class _SessionRecorder(TraceRecorder, _Tally):
-    """The python engine's one sink in a session: its windowed trace
-    recorder, which also tallies arrivals and cancellations (cumulative
-    and per window) and holds each step's finished records for the
-    session to fold.  ``on_arrival``/``on_finish`` inline the base
-    class's point recording, so each event costs one call."""
-
-    def __init__(self, config, *tally) -> None:
-        TraceRecorder.__init__(self, config)
-        _Tally.__init__(self, *tally)
-        self._finished: list[tuple[float, int, "JobRecord"]] = []
-
-    def on_arrival(self, time: float, job_id: int, leaf: int) -> None:
-        self.arrivals_total += 1
-        self.arrivals_win += 1
-        if self._record_points:
-            self._points.append(TracePoint("arrival", time, job_id, leaf))
-
-    def on_finish(self, time: float, record: "JobRecord") -> None:
-        self._finished.append((time, record.job_id, record))
-        if self._record_points:
-            self._points.append(TracePoint("finish", time, record.job_id, record.leaf))
-
-    def on_cancel(self, time: float, record: "JobRecord", node: int) -> None:
-        # A cancellation is not a completion: the censored flow time
-        # must not pollute the histograms or the completion counters.
-        self.cancelled_total += 1
-        self.cancelled_win += 1
-        super().on_cancel(time, record, node)
-        if self.user_on_cancel is not None:
-            self.user_on_cancel(record)
-
-    def take_finished(self, records: bool):
-        """The step's finished jobs in (completion time, id) order:
-        their flow times and records."""
-        finished = self._finished
-        if not finished:
-            return (), ()
-        finished.sort()  # ids are unique: records are never compared
-        self._finished = []
-        recs = [r for _, _, r in finished]
-        return [r.flow_time for r in recs], recs
-
-    def busy_totals(self, now: float) -> list[float]:
-        return [self.cumulative_busy(v, now) for v in self._gauge_ids]
-
-
-def _c_decline(record_points, record_spans, check_invariants, events, evict):
+def _c_decline(record_points, record_spans, check_invariants, events):
     """Why a c session must run python instead (``None``: it need not)."""
     if record_points or record_spans:
         return "record_points/record_spans need the per-event trace"
@@ -143,8 +68,6 @@ def _c_decline(record_points, record_spans, check_invariants, events, evict):
         return "check_invariants audits the python engine's state"
     if events is not None and len(events):
         return "dynamic events in streams run on the python engine only"
-    if not evict:
-        return "evict=False keeps every record in the python engine"
     return None
 
 
@@ -165,17 +88,17 @@ class StreamSession:
         As for :class:`~repro.sim.engine.Engine`.
     window:
         Aggregation window length (simulation seconds).  Metrics fold
-        and completed records/trace spans retire every time a boundary
-        ``k * window`` passes.
+        and trace records retire every time a boundary ``k * window``
+        passes.
     keep_windows:
         How many closed :class:`WindowStats` to retain (older ones are
         dropped — bounded memory); the cumulative aggregates always
         cover the whole run.
     record_points / record_spans:
-        Forwarded to the session's :class:`TraceRecorder`.  Off by
-        default: lifecycle points and service spans are retired with
-        their window anyway, so they only matter if you inspect
-        ``result.trace`` after :meth:`close`.
+        Attach a :class:`TraceRecorder` for per-event lifecycle points,
+        service spans and dynamic-event records.  Off by default: they
+        are retired with their window anyway, so they only matter if
+        you inspect ``result.trace`` after :meth:`close`.
     histogram:
         Optional :class:`StreamingHistogram` prototype; its bin layout
         (``low``/``high``/``bins``) is copied for the cumulative and
@@ -189,24 +112,20 @@ class StreamSession:
         ``StreamSnapshot.cancelled_total`` track them instead).
     on_finish:
         Optional callback called with each finished
-        :class:`~repro.sim.result.JobRecord` — with eviction on, the
-        only place completed records are observable.  Each engine
-        step's records arrive at its end, in (completion time, job id)
-        order.
+        :class:`~repro.sim.result.JobRecord` — the only place completed
+        records are observable, since the engine evicts them.
     on_cancel:
         Same, for records withdrawn by a dynamic cancel event (their
-        ``cancelled_at`` is set; they never reach ``on_finish``).
-    evict:
-        Evict finished jobs from the engine (default).  ``False`` keeps
-        every record for :meth:`close` — batch-equivalent output, at
-        batch memory cost; only sensible for finite streams.
+        ``cancelled_at`` is set; they never reach ``on_finish``).  Both
+        callbacks run at the end of each engine step, finished and
+        cancelled records alike in (terminal time, job id) order.
     backend:
         ``"python"`` or ``"c"`` (resolved by
         :func:`repro.api.open_system`).  A ``"c"`` session runs on the
         compiled kernel when it plans the policy, priority and setting
         and none of ``record_points``, ``record_spans``,
-        ``check_invariants``, ``events`` or ``evict=False`` is asked
-        for; otherwise it warns with the reason and runs python.
+        ``check_invariants`` or ``events`` is asked for; otherwise it
+        warns with the reason and runs python.
     """
 
     def __init__(
@@ -226,7 +145,6 @@ class StreamSession:
         events: "EventSchedule | None" = None,
         on_finish=None,
         on_cancel=None,
-        evict: bool = True,
         backend: str = "python",
     ) -> None:
         if not window > 0.0:
@@ -237,33 +155,33 @@ class StreamSession:
         proto = histogram if histogram is not None else StreamingHistogram()
         self._hist_layout = {"low": proto.low, "high": proto.high,
                              "bins": proto.bins}
-        tally = (
-            proto if proto.count == 0 else StreamingHistogram(**self._hist_layout),
-            StreamingHistogram(**self._hist_layout),
-            on_finish,
-            on_cancel,
+        self._cum_hist = (
+            proto if proto.count == 0 else StreamingHistogram(**self._hist_layout)
         )
+        self._win_hist = StreamingHistogram(**self._hist_layout)
+        self._on_finish = on_finish
+        self._on_cancel = on_cancel
+        # Only dynamic events cancel jobs.
+        self._want_records = on_finish is not None or (
+            on_cancel is not None and bool(events)
+        )
+        self._arrivals_total = self._completions_total = self._cancelled_total = 0
+        self._arrivals_win = self._completions_win = self._cancelled_win = 0
+        # What a callback raised, once one has (see step).
+        self._failure: BaseException | None = None
+        self._recorder: TraceRecorder | None = None
         engine = None
         if backend == "c":
             engine = self._open_c(
                 instance, policy, speeds, priority,
-                _c_decline(record_points, record_spans, check_invariants,
-                           events, evict),
+                _c_decline(record_points, record_spans, check_invariants, events),
             )
-        if engine is not None:
-            self._recorder = None
-            self._tally = _Tally(*tally)
-            self._take_finished = engine.take_finished
-            self._busy_totals = engine.busy_totals
-        else:
-            recorder = self._recorder = _SessionRecorder(
-                TraceConfig(
-                    gauge_interval=self.window,
-                    record_points=record_points,
-                    record_spans=record_spans,
-                ),
-                *tally,
-            )
+        self._backend = "python" if engine is None else "c"
+        if engine is None:
+            if record_points or record_spans:
+                self._recorder = TraceRecorder(TraceConfig(
+                    record_points=record_points, record_spans=record_spans,
+                ))
             engine = Engine(
                 instance,
                 policy,
@@ -271,15 +189,11 @@ class StreamSession:
                 priority=priority,
                 check_invariants=check_invariants,
                 max_events=None,
-                sink=recorder,
+                sink=self._recorder,
                 events=events,
-                evict_finished=evict,
+                evict_finished=True,
             )
-            self._tally = recorder
-            self._take_finished = recorder.take_finished
-            self._busy_totals = lambda: recorder.busy_totals(engine.now)
         self._engine = engine
-        self._want_records = on_finish is not None
         self._node_ids = tuple(
             v for v in instance.tree.node_ids if v != instance.tree.root
         )
@@ -316,7 +230,7 @@ class StreamSession:
     @property
     def backend(self) -> str:
         """The engine the session runs on: ``"python"`` or ``"c"``."""
-        return "python" if self._recorder is not None else "c"
+        return self._backend
 
     @property
     def closed(self) -> bool:
@@ -335,6 +249,7 @@ class StreamSession:
         """True when the arrival source is exhausted and no job is in
         flight — nothing further can happen.  Raises on a failed
         session (see :meth:`step`)."""
+        self._check_callbacks()
         return self._engine.stream_idle()
 
     def step(self, *, until: float | None = None) -> float:
@@ -342,15 +257,17 @@ class StreamSession:
         window boundary), folding and retiring every window whose
         boundary passes on the way.  Returns the new :attr:`now`.
 
-        If the arrival source raises, this step re-raises its exception
-        and the session is failed: every later :meth:`step`,
-        :meth:`drain` and :meth:`idle` raises
+        The ``on_finish`` / ``on_cancel`` callbacks run at the end of
+        each engine step.  If the arrival source or a callback raises,
+        this step re-raises its exception and the session is failed:
+        every later :meth:`step`, :meth:`drain` and :meth:`idle` raises
         :class:`~repro.exceptions.SimulationError` naming it (as
         ``__cause__``), while :meth:`snapshot` and :meth:`close` still
         read the state at the failure (see ``docs/streaming.md``).
         """
         if self._result is not None:
             raise SimulationError("session is closed")
+        self._check_callbacks()
         engine = self._engine
         w = self.window
         if until is None:
@@ -382,10 +299,9 @@ class StreamSession:
         plus the histogram summaries)."""
         engine = self._engine
         now = engine.now
-        tally = self._tally
         if now > 0.0:
             utilization = {
-                v: b / now for v, b in zip(self._node_ids, self._busy_totals())
+                v: b / now for v, b in zip(self._node_ids, engine.busy_totals())
             }
         else:
             utilization = dict.fromkeys(self._node_ids, 0.0)
@@ -394,10 +310,10 @@ class StreamSession:
             window=self.window,
             windows_closed=self._windows_closed,
             jobs_in_flight=engine.alive_count,
-            arrivals_total=tally.arrivals_total,
-            completions_total=tally.completions_total,
-            cancelled_total=tally.cancelled_total,
-            flow=tally.cum_hist.summary(),
+            arrivals_total=self._arrivals_total,
+            completions_total=self._completions_total,
+            cancelled_total=self._cancelled_total,
+            flow=self._cum_hist.summary(),
             utilization=utilization,
             last_window=self.last_window,
         )
@@ -408,37 +324,62 @@ class StreamSession:
 
         Does *not* drain the stream — call :meth:`drain` first if every
         admitted job should complete.  The result carries only jobs
-        still in flight (finished ones were evicted) and the retained
+        still in flight (ended ones were evicted) and the retained
         tail of the trace; ``result.trace.meta["retired"]`` records what
         window retirement dropped.
         """
         if self._result is None:
             result = self._engine.stream_result(verify=False)
-            if self._recorder is None:
-                result.trace = self._c_trace()
+            result.trace = self._closing_trace(result.trace)
             self._result = result
         return self._result
 
     # -- internals ------------------------------------------------------
+    def _check_callbacks(self) -> None:
+        """Raise what every call on a session failed by a callback
+        raises."""
+        if self._failure is not None:
+            raise SimulationError(
+                f"the session failed: a callback raised {self._failure!r}"
+            ) from self._failure
+
     def _engine_step(self, until: float) -> None:
-        """One engine step, then its finished jobs into the tallies."""
+        """One engine step, then its arrivals and ended jobs into the
+        tallies and callbacks — also when the step raised, so the
+        snapshot stays consistent."""
         engine = self._engine
         try:
             engine.stream_step(until=until)
-            if self._recorder is None:
-                self._tally.arrivals_total += engine.step_arrivals
-                self._tally.arrivals_win += engine.step_arrivals
         finally:
-            # A step whose arrival source raised still hands over the
-            # jobs it finished, so the snapshot stays consistent.
-            self._tally.fold_finished(*self._take_finished(self._want_records))
+            n = engine.step_arrivals
+            self._arrivals_total += n
+            self._arrivals_win += n
+            flows, records, cancelled = engine.take_finished(self._want_records)
+            cum, win = self._cum_hist.add, self._win_hist.add
+            for flow in flows:
+                cum(flow)
+                win(flow)
+            self._completions_total += len(flows)
+            self._completions_win += len(flows)
+            self._cancelled_total += len(cancelled)
+            self._cancelled_win += len(cancelled)
+            try:
+                for record in records:
+                    callback = (
+                        self._on_finish if record.cancelled_at is None
+                        else self._on_cancel
+                    )
+                    if callback is not None:
+                        callback(record)
+            except BaseException as exc:
+                self._failure = exc
+                raise
 
     def _fold_window(self, boundary: float) -> None:
         """Close the window ending at ``boundary``: roll up its stats,
         then retire everything the recorder holds for it."""
         w = self.window
-        tally = self._tally
-        busy = self._busy_totals()
+        busy = self._engine.busy_totals()
         utilization = {}
         for v, b, prev in zip(self._node_ids, busy, self._busy_prev):
             b -= prev
@@ -450,25 +391,26 @@ class StreamSession:
             index=self._windows_closed,
             start=boundary - w,
             end=boundary,
-            arrivals=tally.arrivals_win,
-            completions=tally.completions_win,
-            cancelled=tally.cancelled_win,
-            flow=tally.win_hist.summary(),
+            arrivals=self._arrivals_win,
+            completions=self._completions_win,
+            cancelled=self._cancelled_win,
+            flow=self._win_hist.summary(),
             utilization=utilization,
         )
         self._windows.append(stats)
         self._windows_closed += 1
-        tally.arrivals_win = tally.completions_win = tally.cancelled_win = 0
-        tally.win_hist = StreamingHistogram(**self._hist_layout)
+        self._arrivals_win = self._completions_win = self._cancelled_win = 0
+        self._win_hist = StreamingHistogram(**self._hist_layout)
         if self._recorder is not None:
             self._recorder.retire(before=boundary)
 
-    def _c_trace(self) -> SimulationTrace:
-        """A c session's closing trace, as the python session's recorder
-        builds it: its meta, with the gauge samples every window fold
-        retired, and the trailing sample at ``now`` of the nodes'
-        settled state (queue depth and volume, through-count, busy time
-        since the last boundary)."""
+    def _closing_trace(self, recorded: SimulationTrace | None) -> SimulationTrace:
+        """The closing trace: its meta, with the gauge samples every
+        window fold retired, and the trailing sample at ``now`` of the
+        nodes' settled state (queue depth and volume, through-count,
+        busy time since the last boundary); a traced session adds its
+        recorder's points, spans and events (``recorded``) and their
+        retired counts."""
         engine = self._engine
         instance = engine.instance
         now = engine.now
@@ -479,9 +421,12 @@ class StreamSession:
             "gauge_interval": self.window,
             "final_time": now,
         }
-        retired = self._windows_closed * len(self._node_ids)
-        if retired:
-            meta["retired"] = {"points": 0, "spans": 0, "gauges": retired, "events": 0}
+        retired = {"points": 0, "spans": 0, "gauges": 0, "events": 0}
+        if recorded is not None:
+            retired.update(recorded.meta.get("retired", {}))
+        retired["gauges"] = self._windows_closed * len(self._node_ids)
+        if any(retired.values()):
+            meta["retired"] = retired
         gauges = []
         last = self._windows_closed * self.window
         if now > last:
@@ -501,4 +446,9 @@ class StreamSession:
                     through_count=c, busy_s=b,
                     utilization=b / window if window > 0.0 else 0.0,
                 ))
-        return SimulationTrace(meta=meta, gauges=gauges)
+        trace = SimulationTrace(meta=meta, gauges=gauges)
+        if recorded is not None:
+            trace.points, trace.spans, trace.events = (
+                recorded.points, recorded.spans, recorded.events
+            )
+        return trace

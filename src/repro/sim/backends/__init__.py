@@ -24,7 +24,9 @@ The selectable engine backends:
   (:func:`repro.api.open_system`) run on a kernel session that keeps
   its state across window steps whenever the kernel plans the policy,
   priority and setting; one asking for per-event traces, invariant
-  checks, dynamic events or ``evict=False`` warns and runs python.
+  checks or dynamic events warns and runs python.  Either engine
+  evicts a session's ended jobs and holds each terminal record until
+  ``take_finished`` takes it.
 
 Selection: one resolver, :func:`select_backend`, shared by
 :func:`simulate`, :func:`repro.api.simulate`,

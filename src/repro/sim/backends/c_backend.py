@@ -891,6 +891,7 @@ class CStreamEngine:
         readable through :meth:`take_finished`.  A step whose arrival
         source raises re-raises that exception having admitted none of
         its jobs, and fails the stream as the python engine's does."""
+        self.step_arrivals = 0
         if self._arrivals_iter is None:
             raise SimulationError("stream_step() before stream_start()")
         check_source(self._source_error)
@@ -1012,14 +1013,16 @@ class CStreamEngine:
 
     def take_finished(self, records: bool):
         """The jobs the last step finished, in (completion time, id)
-        order: their flow times, and their records when ``records``."""
+        order: their flow times, their records when ``records``, and
+        the cancelled jobs' records (none: a kernel session runs no
+        dynamic events)."""
         n = self._n_out
         self._n_out = 0
         if not n:
-            return (), ()
+            return (), (), ()
         comp, rel = self._out_comp[:n], self._out_rel[:n]
         flows = (comp - rel).tolist()
-        return flows, (self._records(n) if records else ())
+        return flows, (self._records(n) if records else ()), ()
 
     def busy_totals(self) -> list[float]:
         """Every node's cumulative busy time at :attr:`now`."""

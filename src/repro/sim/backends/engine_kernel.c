@@ -554,12 +554,7 @@ static inline void hand_off(K *k, long ji, double t, int allow_fused) {
     k->hop[ji] = h;
     if (h < k->jpath_len[ji]) {
         long nxt = a->path_concat[k->jpath_off[ji] + h];
-        if (a->is_leaf[nxt]) {
-            k->rem[ji] = k->p_leaf[ji];
-            k->prev_end[ji] = t;
-        } else {
-            k->rem[ji] = k->size[ji];
-        }
+        k->rem[ji] = a->is_leaf[nxt] ? k->p_leaf[ji] : k->size[ji];
         avail_append(k, ji, t);
         emit(k, nxt, t, ji, allow_fused);
     } else if (k->session) {
@@ -916,12 +911,7 @@ static void handle_arrival(K *k, long i, long path_id, long skip, double now) {
     }
 
     long first = a->path_concat[off];
-    if (a->is_leaf[first]) {
-        k->rem[i] = k->p_leaf[i];
-        k->prev_end[i] = now;
-    } else {
-        k->rem[i] = k->size[i];
-    }
+    k->rem[i] = a->is_leaf[first] ? k->p_leaf[i] : k->size[i];
     sync_chain(k, first, now);
     if (k->status)
         return;

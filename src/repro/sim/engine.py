@@ -163,7 +163,10 @@ class _JobState:
         # (``None`` means "call the priority function").
         self.node_key: tuple | None = None
         self.leaf_key: tuple | None = None
-        # The deficit closed so far; when ``remaining`` was last updated.
+        # The deficit closed so far, and the time of the last leaf
+        # settle it closed at.  Before the first one the job has done no
+        # leaf work (``remaining == leaf_time``), so every term that
+        # reads ``prev_end`` then has a zero factor.
         self.deficit = 0.0
         self.prev_end = 0.0
 
@@ -189,6 +192,7 @@ class _NodeState:
         "active_started",
         "active_rem_start",
         "down",
+        "busy",
     )
 
     def __init__(self, node_id: int, speed: float, is_leaf: bool) -> None:
@@ -201,6 +205,8 @@ class _NodeState:
         self.active_started = 0.0
         self.active_rem_start = 0.0
         self.down = False
+        # Service time of the closed spans, added where each span closes.
+        self.busy = 0.0
 
 
 #: Shared empty result for :meth:`SchedulerView.downed_nodes` — the
@@ -458,10 +464,10 @@ class Engine:
         (simulation slows down by a small constant factor).
     sink:
         Optional :class:`EngineSink` observing the run: the structured
-        trace (:class:`~repro.obs.trace.TraceRecorder`), the streaming
-        session's tallies, or a live-state audit such as the Lemma 2/3
-        experiments.  Whatever its :meth:`~EngineSink.build` returns is
-        surfaced on ``SimulationResult.trace``.
+        trace (:class:`~repro.obs.trace.TraceRecorder`) or a live-state
+        audit such as the Lemma 2/3 experiments.  Whatever its
+        :meth:`~EngineSink.build` returns is surfaced on
+        ``SimulationResult.trace``.
     collect_counters:
         When true, tally :class:`~repro.sim.counters.EngineCounters`
         for this run (surfaced on ``SimulationResult.counters``).  When
@@ -476,13 +482,14 @@ class Engine:
         the engine processes completions first, then dynamic events,
         then arrivals.
     evict_finished:
-        When true, a job's runtime state (and its record) is dropped
-        from the engine the moment it finishes — the sink's
-        ``on_finish`` is the only place the record is still reachable.
-        This is what bounds memory in the open-system streaming mode
-        (:mod:`repro.service`); the final
-        :class:`~repro.sim.result.SimulationResult` then carries only
-        the jobs still in flight, and integrals over every job.
+        When true, a job's runtime state is dropped from the engine the
+        moment it finishes or is cancelled, and the engine holds its
+        record until :meth:`take_finished` takes it.  This is what
+        bounds memory in the open-system streaming mode
+        (:mod:`repro.service`), whose session takes the records after
+        every step; the final :class:`~repro.sim.result.SimulationResult`
+        then carries only the jobs still in flight, and integrals over
+        every job.
     max_events:
         Safety bound on processed events; exceeding it raises
         :class:`~repro.exceptions.SimulationError`.  ``None`` disables
@@ -562,8 +569,9 @@ class Engine:
         self._seq = 0
         self._num_events = 0
 
-        # The objectives' terms of jobs already evicted (see _evict).
-        self._evicted: list[tuple[float, int, float, float]] = []
+        # Jobs evicted and not yet taken, with their objective terms and
+        # records (see _evict); the terms of taken ones are summed here.
+        self._evicted: list[tuple[float, int, float, float, JobRecord]] = []
         self._evicted_alive = 0.0
         self._evicted_frac = 0.0
 
@@ -589,6 +597,7 @@ class Engine:
         self._pending_job: Job | None = None
         # What the arrival source raised, once it has (see stream_step).
         self._source_error: BaseException | None = None
+        self.step_arrivals = 0  # jobs the last stream_step admitted
         self._result: SimulationResult | None = None
         self._run_seconds = 0.0
         if collect_counters is None:
@@ -665,6 +674,7 @@ class Engine:
                 if self._counters is not None:
                     self._counters.aggregate_updates += 2
             st.remaining = new_rem
+            ns.busy += elapsed
             if ns.is_leaf:
                 pl, arem, astart = st.leaf_time, ns.active_rem_start, ns.active_started
                 st.deficit += (pl - arem) / pl * (astart - st.prev_end) + (
@@ -711,25 +721,46 @@ class Engine:
             raise SimulationError(f"time went backwards: {self.now} -> {t}")
 
     def _evict(self, st: _JobState) -> None:
-        """Drop a terminal job's state, its objective terms kept for
-        :meth:`_fold_evicted`."""
+        """Drop a terminal job's state; its objective terms and record
+        wait for :meth:`take_finished`."""
         self._evicted.append(
-            (self.now, st.job.id, self.now - st.record.release, st.deficit)
+            (self.now, st.job.id, self.now - st.record.release, st.deficit, st.record)
         )
         del self._states[st.job.id]
 
-    def _fold_evicted(self) -> None:
-        """Fold the terms of the jobs evicted since the last fold, in
-        (terminal time, job id) order — the order the compiled kernel
-        hands its finished jobs back in, which its per-node sweeps can
-        reproduce where the event heap's same-instant order cannot."""
+    def take_finished(self, records: bool):
+        """Hand over the jobs evicted since the last call, folding their
+        objective terms, in (terminal time, job id) order — the order
+        the compiled kernel hands its finished jobs back in, which its
+        per-node sweeps can reproduce where the event heap's
+        same-instant order cannot.  Returns the finished jobs' flow
+        times, every terminal record (finished and cancelled alike)
+        when ``records``, and the cancelled jobs' records."""
         evicted = self._evicted
-        if evicted:
-            evicted.sort()
-            for _, _, flow, deficit in evicted:
-                self._evicted_alive += flow
-                self._evicted_frac += flow - deficit
-            evicted.clear()
+        if not evicted:
+            return (), (), ()
+        self._evicted = []
+        evicted.sort()  # ids are unique: records are never compared
+        flows, cancelled = [], []
+        for _, _, flow, deficit, record in evicted:
+            self._evicted_alive += flow
+            self._evicted_frac += flow - deficit
+            if record.cancelled_at is None:
+                flows.append(flow)
+            else:
+                cancelled.append(record)
+        return flows, ([e[4] for e in evicted] if records else ()), cancelled
+
+    def busy_totals(self) -> list[float]:
+        """Every node's cumulative busy time at :attr:`now`, the running
+        span included, in node order."""
+        now = self.now
+        return [
+            ns.busy + (now - ns.active_started)
+            if ns.active_id is not None and now > ns.active_started
+            else ns.busy
+            for ns in self._nodes.values()
+        ]
 
     # ------------------------------------------------------------------
     # event handlers
@@ -811,7 +842,6 @@ class Engine:
             return
         nxt = self._nodes[st.path[st.idx]]
         st.remaining = self._processing_on(nxt, st)
-        st.prev_end = self.now
         st.record.available_at.append(self.now)
         if sink is not None:
             sink.on_available(self.now, jid, nxt.node_id)
@@ -922,7 +952,6 @@ class Engine:
 
         first = self._nodes[path[0]]
         st.remaining = self._processing_on(first, st)
-        st.prev_end = self.now
         record.available_at.append(self.now)
         if self._sink is not None:
             self._sink.on_arrival(self.now, job.id, leaf)
@@ -966,13 +995,15 @@ class Engine:
         if counters is not None:
             counters.settle_calls += 1
             counters.aggregate_updates += 3
-        if elapsed > 0.0 and self._segments is not None:
-            self._segments.append(
-                ScheduleSegment(ns.node_id, jid, ns.active_started, now)
-            )
         sink = self._sink
-        if sink is not None and elapsed > 0.0:
-            sink.on_service(ns.node_id, jid, ns.active_started, now)
+        if elapsed > 0.0:
+            ns.busy += elapsed
+            if self._segments is not None:
+                self._segments.append(
+                    ScheduleSegment(ns.node_id, jid, ns.active_started, now)
+                )
+            if sink is not None:
+                sink.on_service(ns.node_id, jid, ns.active_started, now)
         node_id = ns.node_id
         if ns.is_leaf:
             pl, arem, astart = st.leaf_time, ns.active_rem_start, ns.active_started
@@ -1002,7 +1033,6 @@ class Engine:
         else:
             nxt = self._nodes[st.path[st.idx]]
             st.remaining = st.leaf_time if nxt.is_leaf else st.job.size
-            st.prev_end = now
             st.record.available_at.append(now)
             if sink is not None:
                 sink.on_available(now, jid, nxt.node_id)
@@ -1181,6 +1211,7 @@ class Engine:
             max_events = inf
         it = self._arrivals_iter
         pending = self._pending_job
+        admitted = 0
         dyn = self._dyn
         dyn_i = self._dyn_i
         n_dyn = len(dyn)
@@ -1254,6 +1285,7 @@ class Engine:
                         sink.before_advance(next_arrival)
                     self._advance(next_arrival)
                     self._handle_arrival(pending)
+                    admitted += 1
                     try:
                         pending = next(it, None)
                     except BaseException as exc:
@@ -1268,7 +1300,7 @@ class Engine:
         finally:
             self._pending_job = pending
             self._dyn_i = dyn_i
-            self._fold_evicted()
+            self.step_arrivals = admitted
             if counters is not None:
                 self._run_seconds += perf_counter() - run_started
 
@@ -1279,7 +1311,10 @@ class Engine:
         and moves the clock to ``until``.  Nodes are *not* settled —
         in-flight work keeps running across steps — so per-job results
         are bit-identical however the timeline is sliced into steps.
-        Returns the new :attr:`now` (== ``until``).
+        Returns the new :attr:`now` (== ``until``).  Afterwards
+        :attr:`step_arrivals` counts the jobs the step admitted, and an
+        evicting engine hands the jobs it ended over through
+        :meth:`take_finished`.
 
         A step whose arrival source raises re-raises that exception,
         with every event before the failing pull processed.  The stream
@@ -1288,6 +1323,7 @@ class Engine:
         (as ``__cause__``), while :meth:`stream_result` still builds
         the result at the failure.
         """
+        self.step_arrivals = 0
         if self._arrivals_iter is None:
             raise SimulationError("stream_step() before stream_start()")
         check_source(self._source_error)
@@ -1315,12 +1351,21 @@ class Engine:
         trace spans cover exactly ``[0, now]``.  Idempotent — repeated
         calls return the same :class:`SimulationResult`.  With
         ``evict_finished=True`` the result carries only still-in-flight
-        jobs; finished records were handed to the sink's ``on_finish``.
+        jobs; the ended ones were handed over by :meth:`take_finished`.
+        ``gauge_state`` then holds each node's settled queue depth,
+        queued volume, through-count and busy time, in node order.
         """
         if self._arrivals_iter is None:
             raise SimulationError("stream_result() before stream_start()")
         if self._result is None:
             self._settle_at_horizon()
+            nodes = self._nodes
+            self.gauge_state = (
+                [len(ns.heap) for ns in nodes.values()],
+                [self._queue_volume[v] for v in nodes],
+                [self._through_count[v] for v in nodes],
+                [ns.busy for ns in nodes.values()],
+            )
         return self._build_result(verify=verify)
 
     def _settle_at_horizon(self) -> None:
@@ -1363,7 +1408,8 @@ class Engine:
             trace=trace,
         )
         # The integrals are summed from the result's own columns, plus the
-        # terms evicted jobs folded as they left.
+        # terms of the evicted jobs, folded as they are taken.
+        self.take_finished(False)
         alive, frac = flow_integrals(
             result.releases, result.completion_times, result.cancel_times,
             np.array([st.deficit for st in self._states.values()]), self.now,

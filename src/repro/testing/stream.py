@@ -10,7 +10,8 @@ reversed half the time, so ids need not ascend).  The checks:
   in-flight record's timeline prefix equal, bit for bit, the records of
   one unsliced python-engine run over the same source; with
   ``record_points``/``record_spans`` on, the session's closing trace
-  passes :func:`~repro.obs.trace.crosscheck_trace` (subset mode once a
+  passes :func:`~repro.obs.trace.crosscheck_trace` against the closing
+  records plus every record the callbacks received (subset mode once a
   window retired).
 * **stream_backends** (with ``--backends``) — the same session on the
   compiled kernel must equal the python one on every step's
@@ -169,7 +170,7 @@ def check_stream(case, *, backends: bool = False, plans: Counter | None = None):
     if snaps and seen != snaps[-1]["arrivals_total"]:
         fail(STREAM_CHECK, f"{seen} records for {snaps[-1]['arrivals_total']} arrivals")
     if plan.record:
-        for problem in crosscheck_trace(result):
+        for problem in crosscheck_trace(result, evicted=finished + cancelled):
             fail(STREAM_CHECK, f"trace: {problem}")
 
     if backends:

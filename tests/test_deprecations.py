@@ -292,6 +292,30 @@ class TestDeadHelpersRemoved:
 
         assert not hasattr(TraceRecorder, "record_count")
 
+    def test_trace_recorder_cumulative_busy_absent(self):
+        from repro.obs.trace import TraceRecorder
+
+        assert not hasattr(TraceRecorder, "cumulative_busy")
+
+
+class TestSessionEvictRemoved:
+    """``open_system(evict=...)`` / ``StreamSession(evict=...)`` are
+    gone: a session always evicts ended jobs, and ``api.simulate`` is
+    the batch-parity path."""
+
+    @pytest.mark.parametrize("evict", [True, False])
+    def test_open_system_rejects(self, evict):
+        with pytest.raises(TypeError):
+            api.open_system(instance=_instance(), evict=evict)
+
+    def test_session_rejects(self):
+        from repro.service import StreamSession
+
+        inst = _instance()
+        with pytest.raises(TypeError):
+            StreamSession(instance=inst, arrivals=inst.jobs, policy=_policy(),
+                          evict=False)
+
 
 def test_modern_surface_is_warning_free(tmp_path):
     """The blessed call forms never trip a DeprecationWarning."""

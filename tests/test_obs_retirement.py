@@ -64,17 +64,6 @@ class TestRetire:
         with pytest.raises(SimulationError):
             rec.retire(before=1.0)
 
-    def test_cumulative_busy_survives_retirement(self):
-        """Retiring gauges must not lose cumulative busy time — the
-        accumulator is independent of the retained samples."""
-        rec = TraceRecorder(TraceConfig(gauge_interval=1.0))
-        eng, _ = _streamed(rec, until=15.0, retire_at=0.0, seed=23)
-        before = {v: rec.cumulative_busy(v, 15.0) for v in eng._nodes}
-        rec.retire(before=15.0)
-        after = {v: rec.cumulative_busy(v, 15.0) for v in eng._nodes}
-        assert after == before
-        assert any(b > 0.0 for b in after.values())
-
 
 class TestSchemaAndCrosscheck:
     def _retired_result(self):

@@ -11,6 +11,7 @@ from repro import api
 from repro.core.assignment import FixedAssignment
 from repro.exceptions import SimulationError
 from repro.network.builders import star_of_paths
+from repro.obs.trace import TraceRecorder
 from repro.service import StreamSession
 from repro.sim.backends import available_backends
 from repro.workload.arrivals import job_stream, poisson_process, uniform_size_stream
@@ -63,23 +64,13 @@ class TestBatchParity:
             s2.step(until=t)
         assert got == ref
 
-    def test_evict_false_keeps_batch_equivalent_records(self):
-        inst = _instance(n_jobs=80, seed=3)
-        batch = api.simulate(instance=inst, policy="greedy")
-        sess = api.open_system(instance=inst, policy="greedy", evict=False)
-        sess.drain()
-        result = sess.close()
-        assert set(result.records) == set(batch.records)
-        for jid, rec in batch.records.items():
-            assert result.records[jid].completion == rec.completion
-
     def test_drained_evicting_session_integrals_match_batch(self):
         """Evicted jobs fold their integral terms in completion order,
         the batch run sums them in arrival order: the same terms, so
         the totals agree to rounding."""
         inst = _instance(n_jobs=600, seed=4)
         batch = api.simulate(instance=inst, policy="greedy")
-        sess = api.open_system(instance=inst, policy="greedy", evict=True)
+        sess = api.open_system(instance=inst, policy="greedy")
         sess.drain()
         result = sess.close()
         assert len(result.records) == 0
@@ -245,3 +236,50 @@ class TestLifecycleAndErrors:
     def test_session_constructor_is_the_facade_return_type(self):
         sess = api.open_system(instance=_instance(n_jobs=5))
         assert isinstance(sess, StreamSession)
+
+    def test_python_session_attaches_no_sink_unless_tracing(self):
+        inst = _instance(n_jobs=5)
+        assert api.open_system(instance=inst)._engine._sink is None
+        for switch in ("record_points", "record_spans"):
+            traced = api.open_system(instance=inst, **{switch: True})
+            assert isinstance(traced._engine._sink, TraceRecorder)
+
+
+class CallbackBroke(RuntimeError):
+    pass
+
+
+class TestRaisingCallback:
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_raising_on_finish_fails_the_session(self, backend):
+        if backend not in available_backends():
+            pytest.skip("c backend unavailable")
+        calls = []
+
+        def on_finish(record):
+            calls.append(record.job_id)
+            raise CallbackBroke("on_finish broke")
+
+        sess = api.open_system(
+            instance=_instance(), policy="greedy", window=50.0,
+            backend=backend, on_finish=on_finish,
+        )
+        assert sess.backend == backend
+        with pytest.raises(CallbackBroke):
+            sess.drain()
+        for call in (sess.step, sess.drain, sess.idle):
+            with pytest.raises(SimulationError, match="callback raised") as info:
+                call()
+            assert isinstance(info.value.__cause__, CallbackBroke)
+        snap = sess.snapshot()
+        # The failing step's later callbacks are dropped, but all of its
+        # completions stay folded into the counts and histograms.
+        assert len(calls) == 1
+        assert snap.completions_total > 1
+        assert snap.flow["count"] == snap.completions_total
+        assert snap.arrivals_total == (
+            snap.completions_total + snap.cancelled_total + snap.jobs_in_flight
+        )
+        result = sess.close()
+        assert len(result.records) == snap.jobs_in_flight
+        assert sess.close() is result

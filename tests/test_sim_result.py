@@ -205,7 +205,7 @@ class TestColumns:
 
     def test_evicting_session_result_holds_in_flight_jobs_only(self):
         instance = api.make_instance(n_jobs=80, seed=2)
-        session = api.open_system(instance=instance, evict=True)
+        session = api.open_system(instance=instance)
         session.step(until=instance.jobs[40].release)
         res = session.close()
         in_flight = res.unfinished_job_ids()

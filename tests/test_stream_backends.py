@@ -157,11 +157,10 @@ class TestDeclines:
             (dict(record_points=True), "record_points"),
             (dict(record_spans=True), "record_spans"),
             (dict(check_invariants=True), "check_invariants"),
-            (dict(evict=False), "evict=False"),
             (dict(events=EventSchedule([NodeDown(1.0, 1), NodeUp(2.0, 1)])), "events"),
             (dict(priority=lambda inst, job, node: (job.id,)), "priority"),
         ],
-        ids=["points", "spans", "invariants", "no-evict", "events", "priority"],
+        ids=["points", "spans", "invariants", "events", "priority"],
     )
     def test_declined_session_warns_and_runs_python(self, option, reason):
         inst = _instance(n_jobs=20)

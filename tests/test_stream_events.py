@@ -39,6 +39,8 @@ from repro.exceptions import SimulationError
 from repro.network.builders import tree_from_parent_map
 from repro.service.http import render_metrics
 from repro.service.metrics import validate_snapshot
+from repro.testing.generate import FuzzCase
+from repro.testing.stream import check_stream, stream_plan
 from repro.workload.events import Cancel, EventSchedule, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import JobSet
@@ -171,3 +173,85 @@ class TestSnapshotContract:
         body = render_metrics(sess)
         assert "repro_stream_cancelled_total 1" in body
         assert "repro_stream_completions_total 1" in body
+
+
+class CallbackBroke(RuntimeError):
+    pass
+
+
+class TestCallbacks:
+    def test_terminal_callbacks_run_at_the_end_of_the_step_in_order(self):
+        # Job 0 finishes and job 1 is cancelled at t=6: both callbacks
+        # run once the step reaches the boundary, in (terminal time,
+        # job id) order, finished and cancelled alike.
+        calls = []
+
+        def note(kind):
+            return lambda r: calls.append((kind, r.job_id, sess.now))
+
+        sess = _session(on_finish=note("finish"), on_cancel=note("cancel"))
+        sess.step(until=WINDOW)
+        assert calls == [("finish", 0, WINDOW), ("cancel", 1, WINDOW)]
+        sess.drain()
+        assert [c[:2] for c in calls[2:]] == [("finish", 2), ("finish", 3)]
+
+    def test_raising_on_cancel_fails_the_session(self):
+        def on_cancel(record):
+            raise CallbackBroke("on_cancel broke")
+
+        sess = _session(on_cancel=on_cancel)
+        with pytest.raises(CallbackBroke):
+            sess.step(until=WINDOW)
+        # The engine step reached its boundary before the callback ran.
+        assert sess.now == WINDOW
+        for call in (sess.step, sess.drain, sess.idle):
+            with pytest.raises(SimulationError, match="callback raised") as info:
+                call()
+            assert isinstance(info.value.__cause__, CallbackBroke)
+        snap = sess.snapshot()
+        assert (snap.completions_total, snap.cancelled_total) == (1, 1)
+        assert snap.arrivals_total == (
+            snap.completions_total + snap.cancelled_total + snap.jobs_in_flight
+        )
+        # The cancelled job is not in flight.
+        assert sorted(sess.close().records) == [2, 3]
+
+
+class TestFuzzWitness:
+    def test_cancel_event_of_an_evicted_job_crosschecks(self):
+        # Shrunk from `repro fuzz --stream --events --seed 0`: the traced
+        # session evicts job 4, cancelled at t=8, and hands it to
+        # on_cancel; its cancel event stays in the unretired trace tail
+        # and must match that record, not be reported as a cancel of a
+        # job that is not cancelled.
+        jobs = [1.0356006509798017, 1.1781383440669069, 1.0797739871655232,
+                2.5483180571335886, 1.535040268286245, 1.1327308462234222]
+        case = FuzzCase.from_doc({
+            "config": {
+                "arrivals": "all_zero", "eps": 0.25, "events": "mixed",
+                "n_jobs": 6, "policy": "closest", "priority": "sjf",
+                "seed": 397927511, "setting": "identical", "sizes": "pareto",
+                "speed": "tiered", "topology": "paths_3x2",
+            },
+            "events": [
+                {"job": 3, "kind": "cancel", "time": 2.5},
+                {"job": 4, "kind": "cancel", "time": 8.0},
+            ],
+            "fixed_assignment": None,
+            "instance": {
+                "format": "treesched-instance",
+                "jobs": [
+                    {"id": i, "leaf_sizes": None, "origin": None,
+                     "release": 0.0, "size": size}
+                    for i, size in enumerate(jobs)
+                ],
+                "name": "witness/stream-cancel",
+                "setting": "identical",
+                "tree": {"names": {},
+                         "parent_map": {"0": None, "7": 0, "8": 7, "9": 8}},
+                "version": 1,
+            },
+            "shrunk": True,
+        })
+        assert stream_plan(case)[0].record
+        assert check_stream(case) == []
