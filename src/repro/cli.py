@@ -482,6 +482,9 @@ def _cmd_fuzz(args) -> int:
             f"{summary.kernel_count('declined')} declined, "
             f"{summary.kernel_count('unavailable')} without a compiler"
         )
+    if summary.raising_sources is not None:
+        raised = summary.raising_sources
+        print(f"raising sources: {raised['python']} python, {raised['c']} c")
     if summary.ok:
         print("no disagreements found")
         return 0

@@ -7,10 +7,11 @@ Three pieces, all O(1) memory per recorded value:
   *conservative*: the reported value is the upper edge of the bin the
   rank falls in (clamped to the exact observed min/max), so p95/p99
   never under-report; count/sum/min/max/mean are exact.
-* :class:`WindowStats` — the closed-window roll-up the session emits
-  every time a window boundary passes: arrival/completion rates, the
-  window's flow-time percentiles and exact per-node utilization (from
-  the engine's per-node busy time).
+* :class:`WindowStats` — the roll-up of one closed window:
+  arrival/completion rates, the window's flow-time percentiles and
+  exact per-node utilization (from the engine's per-node busy time).
+  A session keeps each retained window's histogram and busy totals and
+  builds its ``WindowStats`` when it is first read.
 * :class:`StreamSnapshot` — the cumulative live view behind
   ``StreamSession.snapshot()`` and the HTTP ``/snapshot`` endpoint,
   serialised under the ``snapshot/v1`` schema and checked by
@@ -35,6 +36,10 @@ SNAPSHOT_SCHEMA = "snapshot/v1"
 
 #: Quantiles every summary reports.
 _QUANTILES = (0.5, 0.95, 0.99)
+
+
+def _bad_value(value) -> ValueError:
+    return ValueError(f"histogram values must be finite and >= 0, got {value}")
 
 
 class StreamingHistogram:
@@ -73,7 +78,7 @@ class StreamingHistogram:
     def add(self, value: float) -> None:
         """Record one value (must be finite and >= 0)."""
         if not (value >= 0.0) or not math.isfinite(value):
-            raise ValueError(f"histogram values must be finite and >= 0, got {value}")
+            raise _bad_value(value)
         if value < self.low:
             idx = 0
         elif value >= self.high:
@@ -89,6 +94,54 @@ class StreamingHistogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def add_many(self, values, also: "StreamingHistogram") -> None:
+        """:meth:`add` each value of the sequence ``values`` here and to
+        ``also``, a histogram of the same layout, binning each value once.
+
+        Both end exactly as after one :meth:`add` per value on each
+        (the totals stay left-to-right sums), and a bad value raises
+        :meth:`add`'s error before either histogram changes.
+        """
+        low, high, top = self.low, self.high, self.bins + 1
+        log_low, scale = self._log_low, self._scale
+        log, inf = math.log, math.inf
+        idxs = []
+        put = idxs.append
+        for value in values:
+            if value < low:
+                if not value >= 0.0:
+                    raise _bad_value(value)
+                put(0)
+            elif value >= high:
+                if value == inf:
+                    raise _bad_value(value)
+                put(top)
+            elif value == value:
+                idx = 1 + int((log(value) - log_low) * scale)
+                put(idx if idx < top else top - 1)
+            else:
+                raise _bad_value(value)
+        counts, also_counts = self._counts, also._counts
+        total, lo, hi = self.total, self.min, self.max
+        also_total, also_lo, also_hi = also.total, also.min, also.max
+        for value, idx in zip(values, idxs):
+            counts[idx] += 1
+            also_counts[idx] += 1
+            total += value
+            also_total += value
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+            if value < also_lo:
+                also_lo = value
+            if value > also_hi:
+                also_hi = value
+        self.count += len(idxs)
+        also.count += len(idxs)
+        self.total, self.min, self.max = total, lo, hi
+        also.total, also.min, also.max = also_total, also_lo, also_hi
 
     @property
     def mean(self) -> float | None:

@@ -8,15 +8,18 @@ folding metrics window by window:
   :class:`~repro.workload.instance.Instance` job set;
 * finished and cancelled jobs are **evicted** from the engine the
   moment they end; the engine holds their records until the session
-  takes them at the end of each engine step (``take_finished``), folds
-  the flow times into fixed-bin streaming histograms
-  (:mod:`repro.service.metrics`) — cumulative and per-window — and
-  hands the records to the callbacks, so memory is bounded by the
+  takes them at the end of each engine step (``take_finished``), bins
+  the flow times once into two fixed-bin streaming histograms
+  (:mod:`repro.service.metrics`) — cumulative and the open window's —
+  and hands the records to the callbacks, so memory is bounded by the
   number of jobs *in flight*, not the number streamed;
-* per-node utilization is the exact busy time each engine reports at a
-  window boundary, differenced against the previous one; a session
-  traced with ``record_points`` / ``record_spans`` *retires* its
-  recorder's records as each window closes
+* a closing window keeps only its counts, its flow histogram and every
+  node's busy total at its two boundaries (the ``keep_windows`` latest
+  are retained); its :class:`WindowStats` — per-node utilization is
+  the busy time between the boundaries — is built when first read, so
+  a window nobody reads costs no summary; a session traced with
+  ``record_points`` / ``record_spans`` *retires* its recorder's
+  records as each window closes
   (:meth:`~repro.obs.trace.TraceRecorder.retire`), keeping the trace
   bounded too.
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
@@ -58,6 +62,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.job import Job
 
 __all__ = ["StreamSession"]
+
+
+@dataclass(slots=True)
+class _ClosedWindow:
+    """A closed window as the fold leaves it: its counts, its flow
+    histogram and every node's busy total at its end and at its start;
+    ``stats`` holds its :class:`WindowStats` once built."""
+
+    index: int
+    end: float
+    arrivals: int
+    completions: int
+    cancelled: int
+    hist: StreamingHistogram | None
+    busy: list[float] | None
+    busy_prev: list[float] | None
+    stats: WindowStats | None = None
 
 
 def _c_decline(record_points, record_spans, check_invariants, events):
@@ -91,9 +112,10 @@ class StreamSession:
         and trace records retire every time a boundary ``k * window``
         passes.
     keep_windows:
-        How many closed :class:`WindowStats` to retain (older ones are
-        dropped — bounded memory); the cumulative aggregates always
-        cover the whole run.
+        How many closed windows to retain (older ones are dropped —
+        bounded memory), each as its histogram and busy totals until
+        its :class:`WindowStats` is first read; the cumulative
+        aggregates always cover the whole run.
     record_points / record_spans:
         Attach a :class:`TraceRecorder` for per-event lifecycle points,
         service spans and dynamic-event records.  Off by default: they
@@ -102,7 +124,8 @@ class StreamSession:
     histogram:
         Optional :class:`StreamingHistogram` prototype; its bin layout
         (``low``/``high``/``bins``) is copied for the cumulative and
-        per-window flow histograms.
+        per-window flow histograms.  The session never adds to the
+        prototype itself.
     events:
         Optional :class:`~repro.workload.events.EventSchedule` of
         dynamic mid-run events (node breakdowns/repairs, cancellations).
@@ -155,9 +178,7 @@ class StreamSession:
         proto = histogram if histogram is not None else StreamingHistogram()
         self._hist_layout = {"low": proto.low, "high": proto.high,
                              "bins": proto.bins}
-        self._cum_hist = (
-            proto if proto.count == 0 else StreamingHistogram(**self._hist_layout)
-        )
+        self._cum_hist = StreamingHistogram(**self._hist_layout)
         self._win_hist = StreamingHistogram(**self._hist_layout)
         self._on_finish = on_finish
         self._on_cancel = on_cancel
@@ -199,7 +220,7 @@ class StreamSession:
         )
         self._busy_prev = [0.0] * len(self._node_ids)
         self._windows_closed = 0
-        self._windows: deque[WindowStats] = deque(maxlen=keep_windows)
+        self._windows: deque[_ClosedWindow] = deque(maxlen=keep_windows)
         self._result: "SimulationResult | None" = None
         engine.stream_start(arrivals)
 
@@ -239,11 +260,11 @@ class StreamSession:
     @property
     def windows(self) -> tuple[WindowStats, ...]:
         """The retained closed windows, oldest first."""
-        return tuple(self._windows)
+        return tuple(map(self._window_stats, self._windows))
 
     @property
     def last_window(self) -> WindowStats | None:
-        return self._windows[-1] if self._windows else None
+        return self._window_stats(self._windows[-1]) if self._windows else None
 
     def idle(self) -> bool:
         """True when the arrival source is exhausted and no job is in
@@ -355,10 +376,8 @@ class StreamSession:
             self._arrivals_total += n
             self._arrivals_win += n
             flows, records, cancelled = engine.take_finished(self._want_records)
-            cum, win = self._cum_hist.add, self._win_hist.add
-            for flow in flows:
-                cum(flow)
-                win(flow)
+            if flows:
+                self._cum_hist.add_many(flows, self._win_hist)
             self._completions_total += len(flows)
             self._completions_win += len(flows)
             self._cancelled_total += len(cancelled)
@@ -376,33 +395,45 @@ class StreamSession:
                 raise
 
     def _fold_window(self, boundary: float) -> None:
-        """Close the window ending at ``boundary``: roll up its stats,
-        then retire everything the recorder holds for it."""
-        w = self.window
+        """Close the window ending at ``boundary``: keep what its
+        :class:`WindowStats` is built from, then retire everything the
+        recorder holds for it."""
         busy = self._engine.busy_totals()
-        utilization = {}
-        for v, b, prev in zip(self._node_ids, busy, self._busy_prev):
-            b -= prev
-            if b < 0.0:  # pragma: no cover - float guard
-                b = 0.0
-            utilization[v] = b / w
+        self._windows.append(_ClosedWindow(
+            self._windows_closed, boundary, self._arrivals_win,
+            self._completions_win, self._cancelled_win, self._win_hist,
+            busy, self._busy_prev,
+        ))
         self._busy_prev = busy
-        stats = WindowStats(
-            index=self._windows_closed,
-            start=boundary - w,
-            end=boundary,
-            arrivals=self._arrivals_win,
-            completions=self._completions_win,
-            cancelled=self._cancelled_win,
-            flow=self._win_hist.summary(),
-            utilization=utilization,
-        )
-        self._windows.append(stats)
         self._windows_closed += 1
         self._arrivals_win = self._completions_win = self._cancelled_win = 0
         self._win_hist = StreamingHistogram(**self._hist_layout)
         if self._recorder is not None:
             self._recorder.retire(before=boundary)
+
+    def _window_stats(self, closed: _ClosedWindow) -> WindowStats:
+        """``closed``'s :class:`WindowStats`, built on first read and
+        kept (its histogram and busy totals are let go then)."""
+        if closed.stats is None:
+            w = self.window
+            utilization = {}
+            for v, b, prev in zip(self._node_ids, closed.busy, closed.busy_prev):
+                b -= prev
+                if b < 0.0:  # pragma: no cover - float guard
+                    b = 0.0
+                utilization[v] = b / w
+            closed.stats = WindowStats(
+                index=closed.index,
+                start=closed.end - w,
+                end=closed.end,
+                arrivals=closed.arrivals,
+                completions=closed.completions,
+                cancelled=closed.cancelled,
+                flow=closed.hist.summary(),
+                utilization=utilization,
+            )
+            closed.hist = closed.busy = closed.busy_prev = None
+        return closed.stats
 
     def _closing_trace(self, recorded: SimulationTrace | None) -> SimulationTrace:
         """The closing trace: its meta, with the gauge samples every

@@ -25,9 +25,11 @@ hierarchy (``docs/testing.md``) and returns the failures:
    :mod:`repro.testing.metamorphic`.
 8. **stream** (opt-in: ``repro fuzz --stream``) — the case streamed
    through an open-system session, sliced at random, must reproduce an
-   unsliced run bit for bit, and with ``--backends`` the same session on
-   the kernel must equal the python one (``stream_backends``; see
-   :mod:`repro.testing.stream`).
+   unsliced run bit for bit and its flow summaries must rebuild from its
+   ``on_finish`` records; a share of the cases also streams a source
+   that raises mid-stream, which must fail the session cleanly.  With
+   ``--backends`` the same sessions on the kernel must equal the python
+   ones (``stream_backends``; see :mod:`repro.testing.stream`).
 9. **backends** (opt-in: ``repro fuzz --backends``) — the compiled
    kernel (:mod:`repro.sim.backends.c_backend`) must replay the case
    with the identical assignment and cancellations, per-hop times,
@@ -112,7 +114,8 @@ def _rel_diff(a: float, b: float) -> float:
 
 
 def run_checks(
-    case: FuzzCase, *, dt: float = 0.01, checks=None, plans: Counter | None = None
+    case: FuzzCase, *, dt: float = 0.01, checks=None, plans: Counter | None = None,
+    raising: Counter | None = None,
 ) -> list[CheckFailure]:
     """Run the battery on one case; returns the failures (empty = pass).
 
@@ -122,7 +125,8 @@ def run_checks(
     When the backend check runs, ``plans`` (if given) gains one count
     under ``(outcome, "setting/policy")`` — and, with the stream check,
     one under ``(outcome, "stream/setting/policy")`` — ``outcome`` one of
-    :data:`PLAN_OUTCOMES`.
+    :data:`PLAN_OUTCOMES`.  With the stream check, ``raising`` (if given)
+    counts its raising-source runs per engine (``"python"``, ``"c"``).
     """
     selected = set(ALL_CHECKS if checks is None else checks)
     unknown = selected - set(ALL_CHECKS) - {BACKEND_CHECK, STREAM_CHECK}
@@ -350,7 +354,9 @@ def run_checks(
 
     if STREAM_CHECK in selected:
         failures.extend(
-            check_stream(case, backends=BACKEND_CHECK in selected, plans=plans)
+            check_stream(
+                case, backends=BACKEND_CHECK in selected, plans=plans, raising=raising
+            )
         )
 
     return failures

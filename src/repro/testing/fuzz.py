@@ -71,7 +71,10 @@ class FuzzSummary:
     ``kernel_plans`` is ``None`` unless the run had the backend check
     on; then it maps ``(outcome, "setting/policy")`` to the number of
     cases the check saw with that plan outcome (see
-    :data:`~repro.testing.checks.PLAN_OUTCOMES`).
+    :data:`~repro.testing.checks.PLAN_OUTCOMES`).  ``raising_sources``
+    is ``None`` unless the run had the stream check on; then it counts
+    the cases that ran a raising source, per engine (``"python"``,
+    ``"c"``).
     """
 
     seed: int
@@ -80,6 +83,7 @@ class FuzzSummary:
     failures: list[FuzzFailureRecord] = field(default_factory=list)
     stopped_by: str = "max_cases"  # or "budget"
     kernel_plans: Counter | None = None
+    raising_sources: Counter | None = None
 
     @property
     def ok(self) -> bool:
@@ -106,6 +110,10 @@ class FuzzSummary:
             doc["kernel"] = {
                 **{o: self.kernel_count(o) for o in PLAN_OUTCOMES},
                 "by_case": by_case,
+            }
+        if self.raising_sources is not None:
+            doc["raising_sources"] = {
+                engine: self.raising_sources[engine] for engine in ("python", "c")
             }
         return doc
 
@@ -153,7 +161,8 @@ def run_fuzz(
         also runs through a randomly sliced open-system session, on the
         kernel too with ``backends``; its stream opens with a deck of
         same-instant-completion and tie families, so it differs from the
-        default stream after the first dozen cases.
+        default stream after the first dozen cases.  A quarter of the
+        cases also run a raising source (counted in the summary).
     shrink:
         Minimise failing cases before persisting.
     shrink_attempts:
@@ -173,6 +182,8 @@ def run_fuzz(
     summary = FuzzSummary(seed=seed, cases_run=0, elapsed_seconds=0.0)
     if BACKEND_CHECK in selected:
         summary.kernel_plans = Counter()
+    if STREAM_CHECK in selected:
+        summary.raising_sources = Counter()
     for case in iter_cases(seed, max_cases, events=events, stream=stream):
         if (
             budget_seconds is not None
@@ -180,7 +191,10 @@ def run_fuzz(
         ):
             summary.stopped_by = "budget"
             break
-        failures = run_checks(case, checks=selected, plans=summary.kernel_plans)
+        failures = run_checks(
+            case, checks=selected, plans=summary.kernel_plans,
+            raising=summary.raising_sources,
+        )
         summary.cases_run += 1
         if failures:
             summary.failures.append(

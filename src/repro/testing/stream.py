@@ -13,26 +13,41 @@ reversed half the time, so ids need not ascend).  The checks:
   passes :func:`~repro.obs.trace.crosscheck_trace` against the closing
   records plus every record the callbacks received (subset mode once a
   window retired).
+  Every snapshot's ``flow`` and every retained window's ``flow`` must
+  equal histograms rebuilt from the ``on_finish`` records: one
+  ``add`` per flow, into a cumulative histogram and into that of the
+  window open when the callback ran.
 * **stream_backends** (with ``--backends``) — the same session on the
   compiled kernel must equal the python one on every step's
   ``snapshot().to_dict()``, every :class:`WindowStats`, the ``on_finish``
   record sequence and the closing result: records, both integrals, trace
   gauges and retired counts.  Cases with dynamic events, per-event
   tracing or a plan the batch planner declines count as declined.
+
+A share of the cases (drawn from a stream of their own, so the plans
+above stay as they were) also run a **raising source**: the same plan
+over a source that raises after its first ``k`` jobs.  The step that pulls the fault must re-raise it; afterwards
+``step``, ``drain`` and ``idle`` must raise ``SimulationError`` with it
+as ``__cause__``, the snapshot must account for every admitted job
+(``arrivals_total == completions_total + cancelled_total +
+jobs_in_flight``) and ``close()`` must return.  With ``--backends`` a
+planned case runs it on both engines, whose snapshots must be ``==``
+on every step before the failing one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
-from repro.exceptions import TreeSchedError
+from repro.exceptions import SimulationError, TreeSchedError
 from repro.obs.trace import crosscheck_trace
+from repro.service.metrics import StreamingHistogram
 from repro.sim.engine import Engine
 
 __all__ = ["STREAM_CHECK", "STREAM_BACKEND_CHECK", "StreamPlan", "check_stream", "stream_plan"]
@@ -42,6 +57,17 @@ STREAM_BACKEND_CHECK = "stream_backends"
 
 #: Window lengths, in units of the case's mean job size.
 _WINDOWS = (0.5, 1.0, 2.5, 4.0)
+
+#: Share of the cases that also run a raising source.
+_RAISING_SHARE = 0.25
+
+#: Window steps a raising-source run may take past its plan before its
+#: source must have raised.
+_RAISING_EXTRA_STEPS = 10_000
+
+
+class _SourceFault(RuntimeError):
+    """What a raising-source run's arrival source raises."""
 
 
 @dataclass(frozen=True)
@@ -83,35 +109,129 @@ def stream_plan(case):
     return StreamPlan(tuple(jobs), window, tuple(untils), bool(rng.random() < 0.3)), ref
 
 
-def _session(case, plan: StreamPlan, backend: str, finished: list, cancelled: list):
-    from repro.service.session import StreamSession
-
-    return StreamSession(
-        instance=case.instance,
-        arrivals=plan.source,
-        policy=case.policy(),
-        window=plan.window,
-        speeds=case.speeds(),
-        priority=case.priority_fn(),
-        record_points=plan.record,
-        record_spans=plan.record,
-        events=case.events,
-        on_finish=finished.append,
-        on_cancel=cancelled.append,
-        backend=backend,
-    )
+def _raising_at(case) -> int | None:
+    """How many jobs the case's raising source yields before it raises
+    (``None``: the case runs none), from a stream of its own."""
+    rng = np.random.default_rng([case.config.seed, 0x57EA, 0xFA17])
+    n = len(case.instance.jobs)
+    if not n or rng.random() >= _RAISING_SHARE:
+        return None
+    return 1 + int(rng.random() * n)
 
 
-def _drive(sess, plan: StreamPlan):
-    """Step ``sess`` through the plan; the snapshot after each step, the
-    closed windows and the closing result."""
-    snaps = []
-    for until in plan.untils:
+def _raising_source(jobs, k: int):
+    yield from jobs[:k]
+    raise _SourceFault(f"the arrival source broke after {k} jobs")
+
+
+class _Session:
+    """A session of the plan, its callbacks' records and its snapshots:
+    ``opened[i]`` is the window that was open when ``finished[i]`` was
+    handed out, ``marks[s]`` the number of finished records by
+    ``snaps[s]``."""
+
+    def __init__(self, case, plan: StreamPlan, backend: str, arrivals=None) -> None:
+        from repro.service.session import StreamSession
+
+        self.finished: list = []
+        self.cancelled: list = []
+        self.opened: list[int] = []
+        self.snaps: list[dict] = []
+        self.marks: list[int] = []
+        self.session = StreamSession(
+            instance=case.instance,
+            arrivals=plan.source if arrivals is None else arrivals,
+            policy=case.policy(),
+            window=plan.window,
+            speeds=case.speeds(),
+            priority=case.priority_fn(),
+            record_points=plan.record,
+            record_spans=plan.record,
+            events=case.events,
+            on_finish=self._on_finish,
+            on_cancel=self.cancelled.append,
+            backend=backend,
+        )
+
+    def _on_finish(self, record) -> None:
+        self.finished.append(record)
+        self.opened.append(self.session._windows_closed)
+
+    def step(self, until) -> None:
+        """One step of the plan, then the snapshot after it."""
+        sess = self.session
         if until is None or until >= sess.now:
             sess.step(until=until)
-        snaps.append(sess.snapshot().to_dict())
-    windows = [w.to_dict() for w in sess.windows]
-    return snaps, windows, sess.close()
+        self.snaps.append(sess.snapshot().to_dict())
+        self.marks.append(len(self.finished))
+
+
+def _drive(run: _Session, plan: StreamPlan):
+    """Step ``run`` through the plan; the snapshot after each step, the
+    closed windows and the closing result."""
+    for until in plan.untils:
+        run.step(until)
+    windows = [w.to_dict() for w in run.session.windows]
+    return run.snaps, windows, run.session.close()
+
+
+def _fold_problems(run: _Session, windows: list) -> list[str]:
+    """The session's flow summaries against histograms rebuilt from its
+    ``on_finish`` records, one ``add`` per flow."""
+    cum = StreamingHistogram()
+    per_window: defaultdict[int, StreamingHistogram] = defaultdict(StreamingHistogram)
+    problems, done = [], 0
+    for s, (snap, mark) in enumerate(zip(run.snaps, run.marks)):
+        for record, index in zip(run.finished[done:mark], run.opened[done:mark]):
+            cum.add(record.flow_time)
+            per_window[index].add(record.flow_time)
+        done = mark
+        if snap["flow"] != cum.summary():
+            problems.append(f"snapshot {s} flow {snap['flow']} != on_finish {cum.summary()}")
+    closed = windows + [snap["last_window"] for snap in run.snaps if snap["last_window"]]
+    for doc in closed:
+        want = per_window[doc["index"]].summary()
+        if doc["flow"] != want:
+            problems.append(f"window {doc['index']} flow {doc['flow']} != on_finish {want}")
+    return problems
+
+
+def _run_raising(case, plan: StreamPlan, backend: str, k: int):
+    """The plan over a source raising after ``k`` jobs, stepped past the
+    plan a window at a time until the fault: the snapshots before the
+    failing step and what the failed session got wrong."""
+    run = _Session(case, plan, backend, _raising_source(plan.source, k))
+    sess = run.session
+    for until in chain(plan.untils, repeat(None, _RAISING_EXTRA_STEPS)):
+        try:
+            run.step(until)
+        except _SourceFault as exc:
+            fault = exc
+            break
+    else:
+        return run.snaps, [f"{backend}: the source never raised"]
+    problems = []
+    for name in ("step", "drain", "idle"):
+        try:
+            getattr(sess, name)()
+        except SimulationError as exc:
+            if exc.__cause__ is not fault:
+                problems.append(f"{backend}: {name}() raised {exc!r} caused by {exc.__cause__!r}")
+        except Exception as exc:
+            problems.append(f"{backend}: {name}() raised {exc!r}")
+        else:
+            problems.append(f"{backend}: {name}() returned on a failed session")
+    snap = sess.snapshot()
+    ended = snap.completions_total + snap.cancelled_total + snap.jobs_in_flight
+    if snap.arrivals_total != ended:
+        problems.append(f"{backend}: {snap.arrivals_total} arrivals, {ended} ended or in flight")
+    result = sess.close()
+    if len(result.records) != snap.jobs_in_flight:
+        problems.append(
+            f"{backend}: close() holds {len(result.records)} records, "
+            f"{snap.jobs_in_flight} in flight"
+        )
+    return run.snaps, problems
 
 
 def _reference(case, source):
@@ -141,8 +261,12 @@ def _plan_outcome(case, plan: StreamPlan) -> str:
     return "planned"
 
 
-def check_stream(case, *, backends: bool = False, plans: Counter | None = None):
-    """The streaming checks on one case; returns their failures."""
+def check_stream(
+    case, *, backends: bool = False, plans: Counter | None = None,
+    raising: Counter | None = None,
+):
+    """The streaming checks on one case; returns their failures.
+    ``raising`` (if given) counts the raising-source runs per engine."""
     from repro.testing.checks import CheckFailure
 
     def fail(check, message):
@@ -151,13 +275,11 @@ def check_stream(case, *, backends: bool = False, plans: Counter | None = None):
     failures: list = []
     try:
         plan, ref = stream_plan(case)
-        finished: list = []
-        cancelled: list = []
-        snaps, windows, result = _drive(
-            _session(case, plan, "python", finished, cancelled), plan
-        )
+        run = _Session(case, plan, "python")
+        snaps, windows, result = _drive(run, plan)
     except (TreeSchedError, AssertionError) as exc:
         return [CheckFailure(STREAM_CHECK, f"{type(exc).__name__}: {exc}")]
+    finished, cancelled = run.finished, run.cancelled
     for rec in finished + cancelled:
         if rec != ref[rec.job_id]:
             fail(STREAM_CHECK, f"job {rec.job_id}: session {rec!r}, unsliced {ref[rec.job_id]!r}")
@@ -172,19 +294,31 @@ def check_stream(case, *, backends: bool = False, plans: Counter | None = None):
     if plan.record:
         for problem in crosscheck_trace(result, evicted=finished + cancelled):
             fail(STREAM_CHECK, f"trace: {problem}")
+    for problem in _fold_problems(run, windows):
+        fail(STREAM_CHECK, f"fold: {problem}"[:600])
+    k = _raising_at(case)
+    raised = None
+    if k is not None:
+        try:
+            raised, problems = _run_raising(case, plan, "python", k)
+        except (TreeSchedError, AssertionError) as exc:
+            problems = [f"python session raised {type(exc).__name__}: {exc}"]
+        else:
+            if raising is not None:
+                raising["python"] += 1
+        for problem in problems:
+            fail(STREAM_CHECK, f"source raising after {k} jobs: {problem}")
 
     if backends:
         outcome = _plan_outcome(case, plan)
         if plans is not None:
             plans[outcome, f"stream/{case.config.setting}/{case.config.policy}"] += 1
         if outcome == "planned":
-            c_finished: list = []
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    c_snaps, c_windows, c_result = _drive(
-                        _session(case, plan, "c", c_finished, []), plan
-                    )
+                    c_run = _Session(case, plan, "c")
+                    c_snaps, c_windows, c_result = _drive(c_run, plan)
             except (TreeSchedError, AssertionError, RuntimeWarning) as exc:
                 return failures + [CheckFailure(
                     STREAM_BACKEND_CHECK, f"c session raised {type(exc).__name__}: {exc}"
@@ -192,7 +326,7 @@ def check_stream(case, *, backends: bool = False, plans: Counter | None = None):
             for label, ours, theirs in (
                 ("snapshots", snaps, c_snaps),
                 ("windows", windows, c_windows),
-                ("on_finish records", finished, c_finished),
+                ("on_finish records", finished, c_run.finished),
                 ("closing records", result.records, c_result.records),
                 ("alive_integral", result.alive_integral, c_result.alive_integral),
                 ("fractional_flow", result.fractional_flow, c_result.fractional_flow),
@@ -201,4 +335,21 @@ def check_stream(case, *, backends: bool = False, plans: Counter | None = None):
             ):
                 if ours != theirs:
                     fail(STREAM_BACKEND_CHECK, f"{label} differ (python, c): {ours!r} != {theirs!r}"[:600])
+            if raised is not None:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        c_raised, problems = _run_raising(case, plan, "c", k)
+                except (TreeSchedError, AssertionError, RuntimeWarning) as exc:
+                    problems = [f"c session raised {type(exc).__name__}: {exc}"]
+                else:
+                    if raising is not None:
+                        raising["c"] += 1
+                    if c_raised != raised:
+                        problems.append(
+                            f"snapshots before the fault differ (python, c): "
+                            f"{raised!r} != {c_raised!r}"[:600]
+                        )
+                for problem in problems:
+                    fail(STREAM_BACKEND_CHECK, f"source raising after {k} jobs: {problem}")
     return failures

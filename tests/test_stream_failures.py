@@ -62,3 +62,16 @@ def test_raising_source_fails_the_session(backend, window):
     result = session.close()
     assert len(result.records) == snap.jobs_in_flight
     assert session.close() is result
+
+
+def test_stream_fuzz_runs_raising_sources_on_both_engines():
+    """``repro fuzz --stream`` streams a quarter of its cases from a
+    raising source too, and counts the runs per engine."""
+    from repro.testing import run_fuzz
+
+    summary = run_fuzz(seed=0, max_cases=40, corpus_dir=None, backends=True, stream=True)
+    assert summary.ok, [f.to_doc() for f in summary.failures]
+    raised = summary.to_doc()["raising_sources"]
+    assert raised["python"] > 0
+    if "c" in available_backends():
+        assert 0 < raised["c"] <= raised["python"]
