@@ -314,7 +314,8 @@ def simulate(
         python engine.
     record_segments / check_invariants / until / counters / sink:
         Forwarded to the engine; see
-        :class:`~repro.sim.engine.Engine`.  A ``sink`` (for instance a
+        :class:`~repro.sim.engine.Engine`.  Both backends honour
+        ``until`` and ``counters``; a ``sink`` (for instance a
         :class:`~repro.obs.trace.TraceRecorder`) runs the call on the
         python engine.
     events:

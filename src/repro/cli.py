@@ -478,7 +478,8 @@ def _cmd_fuzz(args) -> int:
     )
     if summary.kernel_plans is not None:
         print(
-            f"c kernel: {summary.kernel_count('planned')} planned, "
+            f"c kernel: {summary.kernel_count('planned')} planned "
+            f"({summary.kernel_count('bounded')} bounded), "
             f"{summary.kernel_count('declined')} declined, "
             f"{summary.kernel_count('unavailable')} without a compiler"
         )

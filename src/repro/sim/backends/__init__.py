@@ -3,9 +3,9 @@
 The selectable engine backends:
 
 * ``"python"`` — the reference :class:`~repro.sim.engine.Engine`: one
-  global event heap, the per-event ``sink=`` hooks and counters, bounded
-  horizons, streaming with per-event traces, invariant audits or
-  dynamic events.  Always available; always correct.
+  global event heap, the per-event ``sink=`` hooks, every engine
+  counter, streaming with per-event traces, invariant audits or dynamic
+  events.  Always available; always correct.
 * ``"c"`` — the compiled kernel (:mod:`repro.sim.backends.c_backend`):
   the same Section-2 semantics, dynamic events included, replayed with
   lazily-synced per-node sweeps, built on demand from shipped source by
@@ -15,11 +15,11 @@ The selectable engine backends:
   requesting it explicitly raises, selecting it through the
   environment falls back to ``"python"`` with a warning.  Every
   built-in policy runs on the kernel, on identical and unrelated
-  endpoints alike.  A call the kernel cannot plan (generic priorities,
-  custom policies, greedy or least-loaded with non-root job origins,
-  segment recording) or one asking for an option defined by the
-  global event order (a ``sink``, ``until``, engine counters) runs on
-  the python engine — the schedule is the same either way, only the
+  endpoints alike, with bounded horizons (``until``) and engine
+  counters.  A call the kernel cannot plan (generic priorities, custom
+  policies, greedy or least-loaded with non-root job origins, segment
+  recording, invariant checks) or one passing a ``sink`` runs on the
+  python engine — the schedule is the same either way, only the
   execution strategy differs.  Open-system sessions
   (:func:`repro.api.open_system`) run on a kernel session that keeps
   its state across window steps whenever the kernel plans the policy,
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from repro.exceptions import SimulationError
 from repro.sim import engine as _engine
 from repro.sim.backends import c_build
-from repro.sim.counters import global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
     EngineSink,
@@ -171,21 +170,6 @@ def available_backends() -> tuple[str, ...]:
     return tuple(b for b in BACKENDS if backend_available(b)[0])
 
 
-def _needs_event_order(
-    sink: EngineSink | None,
-    until: float | None,
-    collect_counters: bool | None,
-) -> bool:
-    """Whether the call asks for an option defined by the python
-    engine's global event order (see module doc)."""
-    if sink is not None or until is not None:
-        return True
-    return bool(
-        collect_counters
-        or (collect_counters is None and global_counters() is not None)
-    )
-
-
 def simulate(
     instance: Instance,
     policy: AssignmentPolicy,
@@ -202,12 +186,11 @@ def simulate(
 ) -> SimulationResult:
     """Simulate on the selected backend.
 
-    Accepts the full engine option surface; when ``backend="c"`` is
-    combined with an option the kernel cannot honour (a ``sink``,
-    ``until``, counters) or with a call it cannot plan, the call runs on
-    the python engine instead — the schedule is the same either way.
-    Both backends honour a dynamic-event schedule (``events=``)
-    natively.
+    Accepts the full engine option surface.  Under ``backend="c"`` a
+    call the kernel cannot plan, or one passing a ``sink``, runs on the
+    python engine instead — the schedule is the same either way.  Both
+    backends honour ``until``, counters and a dynamic-event schedule
+    (``events=``) natively.
 
     Selection and the unavailable-backend policy (explicit request
     raises, environment selection warns and falls back) live in
@@ -215,7 +198,7 @@ def simulate(
     :func:`repro.api.open_system` and the CLI.
     """
     backend = select_backend(backend).effective
-    if backend == "c" and not _needs_event_order(sink, until, collect_counters):
+    if backend == "c" and sink is None:
         from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
 
         try:
@@ -227,11 +210,12 @@ def simulate(
                 record_segments=record_segments,
                 check_invariants=check_invariants,
                 events=events,
+                collect_counters=collect_counters,
             )
         except CKernelInapplicable:
             pass
         else:
-            return engine.run()
+            return engine.run(until=until)
     return _engine.simulate(
         instance,
         policy,

@@ -34,14 +34,18 @@ the contract:
   release, size, id, policy size, SJF rank and, in the unrelated
   setting, the n x leaves ``p_{j,v}`` matrix with its per-leaf SJF
   ranks — and the output buffers it allocates.  A warm call runs no
-  Python per job and none per node.
+  Python per job and none per node.  A bounded call (``until``) passes
+  the same columns of only the jobs released by its horizon, which the
+  kernel runs to and settles at.
 * **Assemble** — derive the result's five summary columns and both
-  flow integrals (sequential prefix sums over the jobs in arrival order)
-  from the output buffers with a few numpy operations, and hand the
-  rest of the buffers, named in a :class:`~repro.sim.result.KernelRows`,
-  to :class:`~repro.sim.result.JobRecords`, which builds the
+  flow integrals (sequential prefix sums over the jobs in arrival order,
+  in-flight jobs alive up to the horizon) from the output buffers with
+  a few numpy operations, and hand the rest of the buffers, named in a
+  :class:`~repro.sim.result.KernelRows`, to
+  :class:`~repro.sim.result.JobRecords`, which builds the
   :class:`~repro.sim.result.JobRecord` objects in one pass only when a
-  record is first read.
+  record is first read.  With counters on, the result carries the
+  kernel's tallies (:func:`_tally`).
 
 :class:`CStreamEngine` drives the same event loop as an open-system
 stream (the kernel's session entry points): the engine half of a
@@ -84,6 +88,7 @@ from repro.sim.counters import EngineCounters, global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
     PriorityFn,
+    check_horizon,
     check_source,
     fifo_priority,
     sjf_priority,
@@ -428,6 +433,7 @@ class _KernelArgs(_Table):
         ("weight", ctypes.c_double),
         ("ftol_atol", ctypes.c_double),
         ("ftol_rtol", ctypes.c_double),
+        ("horizon", ctypes.c_double),
         ("chain_off", "i4"),
         ("chain_concat", "i4"),
         ("is_leaf", "u1"),
@@ -498,6 +504,21 @@ def _raise_status(status: int, max_events) -> None:
     raise SimulationError(f"engine kernel failed with status {status}")
 
 
+def _tally(counters: EngineCounters, num_events: int) -> EngineCounters:
+    """Complete a kernel run's counters, whose ``runs``, ``arrivals``,
+    ``dyn_events`` and ``run_seconds`` the caller has set, from the
+    kernel's event count (every arrival, dynamic event and hop
+    completion it processed), and merge them into the process-wide
+    aggregate, as the python engine does at the end of a run.  The
+    kernel keeps no other tally: every other field stays 0."""
+    counters.events_processed = num_events
+    counters.completions = num_events - counters.arrivals - counters.dyn_events
+    aggregate = global_counters()
+    if aggregate is not None and aggregate is not counters:
+        aggregate.merge(counters)
+    return counters
+
+
 class CEngine:
     """One simulation run on the compiled kernel.
 
@@ -505,6 +526,9 @@ class CEngine:
     when the kernel cannot express the call — the dispatcher then runs
     the python engine instead) and :meth:`run` precomputes the input
     columns, invokes ``repro_run`` once, and assembles the result.
+    ``collect_counters`` works as on :class:`~repro.sim.engine.Engine`
+    (``None``: on while the process-wide switch is); the result then
+    carries the kernel's tallies (see :func:`_tally`).
     """
 
     def __init__(
@@ -518,6 +542,7 @@ class CEngine:
         check_invariants: bool = False,
         max_events: int = 10_000_000,
         events=None,
+        collect_counters: bool | None = None,
     ) -> None:
         self.instance = instance
         self.policy = policy
@@ -554,30 +579,37 @@ class CEngine:
         # before any policy state is consumed.
         self._dll = c_build.load_kernel()
         self._plan = topology_plan(instance, self.speeds, self._prio_kind)
-        # The job columns the instance keeps: built on its first c call,
-        # read-only, and only ever read by the kernel.
-        self._rel_a = jobs.releases()
-        self._ids_a = jobs.job_ids()
-        self._size_a = size = jobs.sizes()
-        # Policies score the masked job: its size estimate when declared.
-        # Heap ranks, aggregates and records keep the true sizes.
-        self._p_est_a = jobs.policy_sizes()
-        self._ftol_size_a = np.maximum(REMAINING_ATOL, REMAINING_RTOL * size)
-        # Jobs come in (release, id) order, so FIFO's rank is the index.
-        if self._prio_kind == 2:
-            self._rank_a = np.arange(n, dtype=np.int64)
-        else:
-            self._rank_a = jobs.size_ranks()
         self._ev_cols = self._precompute_events() if self._dyn else {}
+        if collect_counters is None:
+            collect_counters = global_counters() is not None
+        self._counters = EngineCounters(runs=1) if collect_counters else None
 
-    def _precompute_static(self) -> dict:
+    def _job_cols(self, jobs: JobSet) -> dict:
+        """The kernel's job columns: those the job set keeps (built on
+        its first c call, read-only, and only ever read by the kernel)
+        and the finish tolerances."""
+        size = jobs.sizes()
+        return dict(
+            rel=jobs.releases(), size=size, job_id=jobs.job_ids(),
+            # Policies score the masked job: its size estimate when
+            # declared.  Heap ranks, aggregates and records keep the true
+            # sizes.
+            p_est=jobs.policy_sizes(),
+            ftol_size=np.maximum(REMAINING_ATOL, REMAINING_RTOL * size),
+            # Jobs come in (release, id) order, so FIFO's rank is the index.
+            rank=(
+                np.arange(len(jobs), dtype=np.int64)
+                if self._prio_kind == 2 else jobs.size_ranks()
+            ),
+        )
+
+    def _precompute_static(self, instance: Instance, job_cols: dict) -> dict:
         """Kind 0: the slot, skip, leaf-size, leaf-tolerance and
         (unrelated SJF) leaf-rank columns of every job."""
-        instance = self.instance
         slot, skip = _resolve_static(self._plan, instance, self.policy)
         cols = dict(job_path_id=slot, job_skip=skip)
         if instance.setting is Setting.IDENTICAL:
-            cols.update(p_leaf_in=self._size_a, ftol_leaf_in=self._ftol_size_a)
+            cols.update(p_leaf_in=job_cols["size"], ftol_leaf_in=job_cols["ftol_size"])
             return cols
         p_leaf = instance.leaf_size_matrix()[np.arange(len(slot)), slot]
         cols.update(
@@ -590,7 +622,7 @@ class CEngine:
             cols["leaf_rank_in"] = np.unique(p_leaf, return_inverse=True)[1]
         return cols
 
-    def _leaf_size_cols(self) -> dict:
+    def _leaf_size_cols(self, instance: Instance) -> dict:
         """Kinds 2-3 on unrelated endpoints: the n x leaves ``p_{j,v}``
         column (row-major by job, ``inf`` = forbidden) and, under SJF,
         the leaf heaps' ranks — both kept by the instance.  A rank only
@@ -598,7 +630,6 @@ class CEngine:
         ``(p_{j,v}, release, id)`` keys: the dense rank of ``p_{j,v}``
         over the whole column does, because heap entries break rank ties
         by job index, and jobs are in ``(release, id)`` order."""
-        instance = self.instance
         cols = {"p_jv": instance.leaf_size_matrix().ravel()}
         if self._prio_kind == 1:
             cols["rank_jv"] = instance.leaf_size_ranks().ravel()
@@ -607,7 +638,8 @@ class CEngine:
     def _precompute_events(self) -> dict:
         """The schedule as kernel columns: time, kind, and the dense
         node index (outages) or job index (cancels; ``-1`` for ids the
-        instance never releases, which the kernel treats as no-ops)."""
+        instance never releases, which the kernel treats as no-ops, as
+        it does an index past a bounded run's jobs)."""
         ni_of = self._plan.ni_of
         kinds, args = [], []
         for ev in self._dyn:
@@ -618,7 +650,7 @@ class CEngine:
         cancel = kind == _EV_KIND[Cancel]
         if cancel.any():
             # Job index of each cancelled id, through the id column.
-            ids = self._ids_a
+            ids = self.instance.jobs.job_ids()
             by_id = np.argsort(ids)
             want = arg[cancel]
             pos = by_id[np.searchsorted(ids, want, sorter=by_id).clip(max=len(ids) - 1)]
@@ -629,23 +661,42 @@ class CEngine:
             ev_arg=arg.astype(np.int32),
         )
 
-    def run(self) -> SimulationResult:
+    def run(self, *, until: float | None = None) -> SimulationResult:
+        """Run the kernel once and assemble the result.  ``until`` bounds
+        the run as :meth:`Engine.run <repro.sim.engine.Engine.run>` does:
+        only the jobs released by then run, the events at or before it
+        apply, jobs still in flight stay unfinished, and both integrals
+        cover ``[0, until]``."""
         if self._finished:
             raise SimulationError("a CEngine instance can only run once")
         self._finished = True
+        check_horizon(until)
+        counters = self._counters
+        started = perf_counter() if counters is not None else 0.0
 
-        jobs = self.instance.jobs
+        instance = self.instance
+        horizon = math.inf
+        if until is not None:
+            horizon = until
+            # The python engine never admits a job released later.
+            admitted = int(np.searchsorted(instance.jobs.releases(), until, side="right"))
+            if admitted < len(instance.jobs):
+                instance = Instance(
+                    instance.tree, JobSet(instance.jobs[:admitted]), instance.setting
+                )
+        jobs = instance.jobs
         n = len(jobs)
+        job_cols = self._job_cols(jobs)
         kind = self._kind
         plan = self._plan
         cols = {}
         if kind == 0:
             # The bulk rule runs here, not at construction: it consumes
             # the policy object's state (RNG draws, round-robin counter)
-            # exactly as a live arrival loop would.
-            cols = self._precompute_static()
-        elif self.instance.setting is not Setting.IDENTICAL:
-            cols = self._leaf_size_cols()
+            # exactly as a live arrival loop would, for the jobs run.
+            cols = self._precompute_static(instance, job_cols)
+        elif instance.setting is not Setting.IDENTICAL:
+            cols = self._leaf_size_cols(instance)
 
         max_path = plan.max_path
         out_path_id = np.zeros(n, dtype=np.int32)
@@ -659,24 +710,30 @@ class CEngine:
         out_num_events = np.zeros(1, dtype=np.int64)
         args = _kernel_args(
             plan, kind=kind, weight=float(getattr(self.policy, "weight", 0.0)),
-            n_jobs=n, max_events=self.max_events,
+            n_jobs=n, max_events=self.max_events, horizon=horizon,
             use_agg=1 if kind == 2 else 0, n_dyn=len(self._dyn),
-            rel=self._rel_a, size=self._size_a, p_est=self._p_est_a,
-            job_id=self._ids_a, ftol_size=self._ftol_size_a, rank=self._rank_a,
             out_path_id=out_path_id, out_avail=out_avail,
             out_avail_cnt=out_avail_cnt, out_comp=out_comp,
             out_comp_cnt=out_comp_cnt, out_deficit=out_deficit,
             out_cancel=out_cancel, out_num_events=out_num_events,
-            **cols, **self._ev_cols,
+            **job_cols, **cols, **self._ev_cols,
         )
         status = self._dll.repro_run(ctypes.byref(args))
         if status != 0:
             _raise_status(status, self.max_events)
+        if counters is not None:
+            counters.run_seconds = perf_counter() - started
+            counters.arrivals = n
+            # The kernel applies the events at or before the horizon.
+            counters.dyn_events = int(np.searchsorted(
+                self._ev_cols.get("ev_time", ()), horizon, side="right"
+            ))
+            _tally(counters, int(out_num_events[0]))
 
         # The summary columns, in arrival order.  The id and release
         # columns are the engine's own inputs, which nothing writes after
         # planning; the result marks every column read-only.
-        ids, rel = self._ids_a, self._rel_a
+        ids, rel = job_cols["job_id"], job_cols["rel"]
         skip = cols.get("job_skip")
         hops = plan.path_len[out_path_id]
         if skip is not None:
@@ -684,15 +741,16 @@ class CEngine:
         completion = np.where(
             out_comp_cnt == hops, out_comp[np.arange(n), hops - 1], np.nan
         )
-        # SimulationResult.verify_complete's check, on the kernel's rows.
-        unfinished = np.isnan(completion) & np.isnan(out_cancel)
-        if unfinished.any():
-            raise SimulationError(
-                f"jobs did not complete: {ids[unfinished][:10].tolist()}"
-            )
-        # Every job ended, so no flow runs to a horizon.
+        if until is None:
+            # SimulationResult.verify_complete's check, on the kernel's rows.
+            unfinished = np.isnan(completion) & np.isnan(out_cancel)
+            if unfinished.any():
+                raise SimulationError(
+                    f"jobs did not complete: {ids[unfinished][:10].tolist()}"
+                )
+        # A job in flight at the horizon is alive up to it.
         alive_integral, frac = flow_integrals(
-            rel, completion, out_cancel, out_deficit, math.nan
+            rel, completion, out_cancel, out_deficit, horizon
         )
 
         leaves = plan.leaf_ids[out_path_id]
@@ -714,6 +772,7 @@ class CEngine:
             fractional_flow=frac,
             alive_integral=alive_integral,
             num_events=int(out_num_events[0]),
+            counters=counters,
         )
 
 
@@ -980,8 +1039,6 @@ class CStreamEngine:
             self._p_jv[:k] = rows if len(self._leaves) > 1 else [[r] for r in rows]
         if not live:
             self._resolve(jobs)
-        if self._counters is not None:
-            self._counters.events_processed += k
         return k
 
     def _resolve(self, jobs: list) -> None:
@@ -1076,11 +1133,7 @@ class CStreamEngine:
         records = {r.job_id: r for r in self._records(n)}
         counters = self._counters
         if counters is not None:
-            counters.events_processed += step.num_events - counters.arrivals
-            counters.completions = step.num_events - counters.arrivals
-            aggregate = global_counters()
-            if aggregate is not None and aggregate is not counters:
-                aggregate.merge(counters)
+            _tally(counters, step.num_events)
         result = SimulationResult.from_records(
             records, instance=self.instance, speeds=self.speeds,
             fractional_flow=0.0, alive_integral=0.0,

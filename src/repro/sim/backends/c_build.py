@@ -36,10 +36,13 @@ SIGBUS).  As a last line of defence the loaded library's
 ``repro_abi_version()`` export is checked against :data:`ABI_VERSION`.
 
 **Availability.**  Everything degrades gracefully: no compiler on PATH
-(or ``REPRO_NO_CKERNEL=1``, the explicit opt-out) means
-:func:`availability` reports the reason, ``backend="c"`` raises it, and
-nothing else in the package notices.  ``REPRO_CC`` overrides discovery
-with an explicit compiler command.
+(or ``REPRO_NO_CKERNEL=1``, the explicit opt-out), or a cache slot that
+cannot be written, means :func:`availability` reports the reason,
+``backend="c"`` raises it, and nothing else in the package notices.
+``REPRO_CC`` overrides discovery with an explicit compiler command.  A
+compiler removed after a build leaves ``c`` unavailable, although the
+library stays cached: the slot is keyed by the compiler's ``--version``
+line, so without a compiler no slot can be named.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ __all__ = [
 #: Kernel ABI version; must match ``REPRO_KERNEL_ABI`` in the C source.
 #: Part of the cache key *and* verified against the loaded library's
 #: ``repro_abi_version()`` export.
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 #: Compiler commands tried in order when ``REPRO_CC`` is unset.
 _CANDIDATE_CCS = ("cc", "gcc", "clang")
@@ -186,7 +189,8 @@ def build_library(
     (``os.replace``), so concurrent builds, whose outputs are
     identical, race benignly.  A cached library that does not match its
     record is rebuilt.  Raises :class:`CKernelUnavailable` with the
-    compiler diagnostics on failure.
+    compiler diagnostics on failure, and naming the slot when it cannot
+    be written (the cache directory lies below a regular file, say).
     """
     if cc is None:
         cc = find_compiler()
@@ -204,26 +208,31 @@ def build_library(
     lib = cache_dir() / f"engine_kernel-{key}.so"
     if _intact(lib):
         return lib
-    lib.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-        src = Path(tmp) / "engine_kernel.c"
-        src.write_text(source_text)
-        out = Path(tmp) / lib.name
-        proc = subprocess.run(
-            [cc, *flags, "-o", str(out), str(src)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        if proc.returncode != 0:
-            raise CKernelUnavailable(
-                f"compiling the engine kernel with {cc!r} failed:\n"
-                + (proc.stderr or proc.stdout).strip()
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+            src = Path(tmp) / "engine_kernel.c"
+            src.write_text(source_text)
+            out = Path(tmp) / lib.name
+            proc = subprocess.run(
+                [cc, *flags, "-o", str(out), str(src)],
+                capture_output=True,
+                text=True,
+                timeout=300,
             )
-        record = Path(tmp) / "record"
-        record.write_text(_file_digest(out))
-        os.replace(record, _record_path(lib))
-        os.replace(out, lib)
+            if proc.returncode != 0:
+                raise CKernelUnavailable(
+                    f"compiling the engine kernel with {cc!r} failed:\n"
+                    + (proc.stderr or proc.stdout).strip()
+                )
+            record = Path(tmp) / "record"
+            record.write_text(_file_digest(out))
+            os.replace(record, _record_path(lib))
+            os.replace(out, lib)
+    except OSError as exc:
+        raise CKernelUnavailable(
+            f"cannot build the engine kernel into {lib.parent}: {exc}"
+        ) from exc
     return lib
 
 

@@ -9,18 +9,22 @@
  * `advance_node` runs one node through all of its completions and
  * admissions up to a time limit in one tight loop.  A policy query
  * touches a node only when its `node_next` has been reached; after the
- * last arrival every node drains in one preorder pass.
+ * last arrival every node syncs to the horizon in one preorder pass.
  *
  * One event loop, two drivers.  `repro_run` drives it once over a whole
- * instance (batch); `repro_session_open` / `_step` / `_close` drive it
- * over a stream: a step admits the jobs released by its `until`, runs
- * arrivals, completions and the policy exactly as a batch run does, and
- * ends with every node synced to `until` (in-flight runs unsettled, as
- * the engine's `stream_step` leaves them).  The sweeps never settle at
- * their limit, so slicing a run into steps changes nothing.  A session
- * job lives in a recycled slot; its finished jobs leave each step as
- * columns sorted by (completion time, job id), the order in which both
- * engines fold evicted flow terms.
+ * instance (batch) up to its `horizon`: it applies the events at or
+ * before it, and at infinity drains every job; a finite horizon ends
+ * with every node settled there, as the engine's `run(until=)` does
+ * (the caller passes only the jobs released by then).
+ * `repro_session_open` / `_step` / `_close` drive it over a stream: a
+ * step admits the jobs released by its `until`, runs arrivals,
+ * completions and the policy exactly as a batch run does, and ends with
+ * every node synced to `until` (in-flight runs unsettled, as the
+ * engine's `stream_step` leaves them); close settles there.  The sweeps
+ * never settle at their limit, so slicing a run into steps changes
+ * nothing.  A session job lives in a recycled slot; its finished jobs
+ * leave each step as columns sorted by (completion time, job id), the
+ * order in which both engines fold evicted flow terms.
  *
  * Dynamic events (outages, repairs, cancellations) run at a sync
  * barrier: every node first advances to the event instant (the sweeps
@@ -93,7 +97,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_KERNEL_ABI 4
+#define REPRO_KERNEL_ABI 5
 
 #define IDX_MASK 0xffffffffLL
 
@@ -130,6 +134,7 @@ typedef struct {
     double weight;       /* greedy 6/eps^2 */
     double ftol_atol;    /* finished_tol's absolute and relative parts */
     double ftol_rtol;
+    double horizon;      /* batch: run to here, then settle (INFINITY: drain) */
     /* topology (dense preorder node index, root excluded) */
     const int32_t *chain_off;    /* [n_nodes + 1] */
     const int32_t *chain_concat; /* ancestor chains, root-adjacent..node */
@@ -176,7 +181,8 @@ typedef struct {
     /* dynamic events, in schedule order */
     const double *ev_time; /* [n_dyn] */
     const int32_t *ev_kind; /* [n_dyn] EV_DOWN / EV_UP / EV_CANCEL */
-    const int32_t *ev_arg;  /* [n_dyn] node index, or job index (-1: unknown) */
+    const int32_t *ev_arg;  /* [n_dyn] node index, or job index (-1 or
+                             * >= n_jobs: a cancel that is a no-op) */
     /* batch outputs (allocated by Python) */
     int32_t *out_path_id;    /* [n_jobs] chosen leaf slot per job */
     double *out_avail;       /* [n_jobs * max_path] */
@@ -854,6 +860,25 @@ static void sync_all(K *k, double now) {
             advance_node(k, ni, now);
 }
 
+/* Settle every node at `now` and close every queued leaf job's deficit
+ * there, as the engine's horizon does (`_settle_at_horizon`). */
+static void settle_at(K *k, double now) {
+    const KernelArgs *a = k->a;
+    for (long ni = 0; ni < k->m; ni++) {
+        long active = k->actives[ni];
+        if (active >= 0) {
+            settle_run(k, ni, active, k->astarts[ni], k->arems[ni], now);
+            k->actives[ni] = -1;
+        }
+        if (a->is_leaf[ni])
+            for (long q = 0; q < k->heap_len[ni]; q++) {
+                long j = (long)(k->heap[ni][q] & IDX_MASK);
+                double pl = k->p_leaf[j];
+                k->deficit[j] += (pl - k->rem[j]) / pl * (now - k->prev_end[j]);
+            }
+    }
+}
+
 /* ---- direct admission (the engine's _enqueue at the current instant) - */
 
 static void admit_now(K *k, long ni, double t, long i) {
@@ -973,10 +998,11 @@ static void node_up(K *k, long ni, double t) {
 }
 
 /* Withdraw job `ji` if it is alive; otherwise a defined no-op (unknown
- * id, not yet released — its path is still empty — or terminal). */
+ * id, not yet released — its path is still empty, or it lies past a
+ * bounded run's jobs — or terminal). */
 static void cancel_job(K *k, long ji, double t) {
     const KernelArgs *a = k->a;
-    if (ji < 0 || k->hop[ji] >= k->jpath_len[ji])
+    if (ji < 0 || ji >= k->n || k->hop[ji] >= k->jpath_len[ji])
         return;
     long hop = k->hop[ji];
     long ni = a->path_concat[k->jpath_off[ji] + hop];
@@ -1472,10 +1498,6 @@ int repro_run(const KernelArgs *a) {
         return ST_BAD_ARGS;
     long n = (long)a->n_jobs;
     long m = (long)a->n_nodes;
-    if (n == 0) {
-        *a->out_num_events = 0;
-        return ST_OK;
-    }
 
     K k;
     memset(&k, 0, sizeof(k));
@@ -1632,16 +1654,19 @@ int repro_run(const KernelArgs *a) {
                a->job_skip ? a->job_skip[i] : 0,
                a->p_jv ? a->p_jv + (size_t)i * a->n_leaves : NULL);
     }
-    /* Events left after the last arrival run before the final drain. */
-    while (e < n_dyn && !k.status)
+    /* Events left after the last arrival, up to the horizon, run before
+     * the final sweep. */
+    while (e < n_dyn && a->ev_time[e] <= a->horizon && !k.status)
         apply_event(&k, e++);
     /* Arrivals and dynamic events count as events, as on the engine. */
-    k.num_events += n + n_dyn;
+    k.num_events += n + e;
 
-    /* Final drain: preorder guarantees every node's parent empties
-     * first, so one pass completes all in-flight work. */
-    for (long ni = 0; ni < m && !k.status; ni++)
-        advance_node(&k, ni, INFINITY);
+    /* Final sweep: preorder guarantees every node's parent is synced
+     * first, so one pass runs all work due by the horizon (at infinity,
+     * all in-flight work); a finite horizon then settles there. */
+    sync_all(&k, a->horizon);
+    if (!k.status && a->horizon < INFINITY)
+        settle_at(&k, a->horizon);
 
     *a->out_num_events = (int64_t)k.num_events;
     free(blob);
@@ -1949,31 +1974,16 @@ int repro_session_step(void *h, StepArgs *s) {
     return ST_OK;
 }
 
-/* Settle every node at `until` (the session's clock) and close every
- * queued leaf job's deficit there, as the engine's horizon does; then
- * hand back the in-flight jobs in admission order and every node's
- * gauge state.  The session cannot step afterwards. */
+/* Settle at `until` (the session's clock); then hand back the in-flight
+ * jobs in admission order and every node's gauge state.  The session
+ * cannot step afterwards. */
 int repro_session_close(void *h, StepArgs *s) {
     K *k = (K *)h;
     if (!k || !s)
         return ST_BAD_ARGS;
     if (k->status)
         return k->status;
-    const KernelArgs *a = k->a;
-    double now = s->until;
-    for (long ni = 0; ni < k->m; ni++) {
-        long active = k->actives[ni];
-        if (active >= 0) {
-            settle_run(k, ni, active, k->astarts[ni], k->arems[ni], now);
-            k->actives[ni] = -1;
-        }
-        if (a->is_leaf[ni])
-            for (long q = 0; q < k->heap_len[ni]; q++) {
-                long j = (long)(k->heap[ni][q] & IDX_MASK);
-                double pl = k->p_leaf[j];
-                k->deficit[j] += (pl - k->rem[j]) / pl * (now - k->prev_end[j]);
-            }
-    }
+    settle_at(k, s->until);
     if (k->n_live > s->out_cap || !reserve_tags(k, k->n_live))
         return k->status = ST_BAD_ARGS;
     long r = 0;

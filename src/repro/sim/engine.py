@@ -104,6 +104,14 @@ def check_source(error: BaseException | None) -> None:
         ) from error
 
 
+def check_horizon(until: float | None) -> None:
+    """Raise what a bounded run rejects: a horizon ``until`` that is not
+    ``>= 0``, whether negative or NaN (no event time compares with
+    NaN, so it bounds nothing)."""
+    if until is not None and not until >= 0:
+        raise SimulationError(f"until must be >= 0, got {until}")
+
+
 def sjf_priority(instance: Instance, job: Job, node: int) -> tuple:
     """Shortest-Job-First by original processing time on the node.
 
@@ -1439,8 +1447,7 @@ class Engine:
             Jobs released after ``until`` are not admitted.
         """
         self.stream_start(self.instance.jobs)
-        if until is not None and until < 0:
-            raise SimulationError(f"until must be >= 0, got {until}")
+        check_horizon(until)
         self._stream_loop(until)
         if until is not None:
             self._settle_at_horizon()

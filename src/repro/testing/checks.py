@@ -35,9 +35,11 @@ hierarchy (``docs/testing.md``) and returns the failures:
    with the identical assignment and cancellations, per-hop times,
    records and total flow time, all exactly ``==`` to the reference
    engine's — a third independent implementation in the differential
-   battery.  Cases the kernel's planner declines, and hosts without a
-   C compiler, skip it; a ``plans`` tally passed to :func:`run_checks`
-   counts which.
+   battery.  Every planned case also runs bounded on both engines, at
+   one horizon drawn from its digest, with counters on the kernel.
+   Cases the kernel's planner declines, and hosts without a C compiler,
+   skip it; a ``plans`` tally passed to :func:`run_checks` counts which,
+   and how many cases ran bounded.
 
 Every failure carries the check name, so the shrinker can preserve *the
 same* failure while minimising (``repro.testing.shrink``).
@@ -48,10 +50,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import TreeSchedError
 from repro.obs.trace import TraceRecorder, crosscheck_trace
-from repro.sim.engine import simulate
+from repro.sim.engine import Engine, simulate
 from repro.sim.invariants import validate_schedule
+from repro.sim.result import _COLUMNS
+from repro.testing.corpus import case_digest
 from repro.testing.exact import exact_replay
 from repro.testing.generate import FuzzCase
 from repro.testing.metamorphic import run_relations
@@ -97,6 +103,9 @@ BACKEND_CHECK = "backends"
 #: compiler.
 PLAN_OUTCOMES = ("planned", "declined", "unavailable")
 
+#: The ``plans`` tally's count of planned cases that also ran bounded.
+BOUNDED = "bounded"
+
 
 @dataclass(frozen=True)
 class CheckFailure:
@@ -125,8 +134,10 @@ def run_checks(
     When the backend check runs, ``plans`` (if given) gains one count
     under ``(outcome, "setting/policy")`` — and, with the stream check,
     one under ``(outcome, "stream/setting/policy")`` — ``outcome`` one of
-    :data:`PLAN_OUTCOMES`.  With the stream check, ``raising`` (if given)
-    counts its raising-source runs per engine (``"python"``, ``"c"``).
+    :data:`PLAN_OUTCOMES`, plus one under ``(BOUNDED, "setting/policy")``
+    for a case that also ran bounded.  With the stream check, ``raising``
+    (if given) counts its raising-source runs per engine (``"python"``,
+    ``"c"``).
     """
     selected = set(ALL_CHECKS if checks is None else checks)
     unknown = selected - set(ALL_CHECKS) - {BACKEND_CHECK, STREAM_CHECK}
@@ -306,32 +317,9 @@ def run_checks(
 
     if "counters" in selected and base.counters is not None:
         c = base.counters
-        n = len(case.instance.jobs)
-        if c.runs != 1:
-            failures.append(CheckFailure("counters", f"runs = {c.runs}, not 1"))
-        if c.events_processed != c.arrivals + c.completions + c.dyn_events:
-            failures.append(
-                CheckFailure(
-                    "counters",
-                    f"events_processed {c.events_processed} != arrivals "
-                    f"{c.arrivals} + completions {c.completions} + "
-                    f"dyn_events {c.dyn_events}",
-                )
-            )
         n_dyn = len(events) if events is not None else 0
-        if c.dyn_events != n_dyn:
-            failures.append(
-                CheckFailure(
-                    "counters",
-                    f"dyn_events {c.dyn_events} for a schedule of {n_dyn}",
-                )
-            )
-        if c.arrivals != n:
-            failures.append(
-                CheckFailure(
-                    "counters", f"{c.arrivals} arrival events for {n} jobs"
-                )
-            )
+        for problem in _counter_problems(c, len(case.instance.jobs), n_dyn):
+            failures.append(CheckFailure("counters", problem))
         if base.trace is not None and c.trace_records != len(base.trace):
             failures.append(
                 CheckFailure(
@@ -347,10 +335,15 @@ def run_checks(
                 failures.append(CheckFailure("metamorphic", problem))
 
     if BACKEND_CHECK in selected:
+        label = f"{case.config.setting}/{case.config.policy}"
         outcome, problems = _check_backends(case, base, assignment)
         failures.extend(problems)
         if plans is not None:
-            plans[outcome, f"{case.config.setting}/{case.config.policy}"] += 1
+            plans[outcome, label] += 1
+        if outcome == "planned":
+            failures.extend(_check_bounded(case, base))
+            if plans is not None:
+                plans[BOUNDED, label] += 1
 
     if STREAM_CHECK in selected:
         failures.extend(
@@ -467,6 +460,93 @@ def _check_backends(
                 CheckFailure("backends", f"{label} engine {ours!r}, c {theirs!r}")
             )
     return "planned", failures
+
+
+def _counter_problems(c, n_jobs: int, n_dyn: int) -> list[str]:
+    """The counters identities of one run over ``n_jobs`` admitted jobs
+    and ``n_dyn`` applied dynamic events: one run, one arrival per job,
+    one dyn event per event, and the events by kind summing to
+    ``events_processed``."""
+    problems = []
+    if c.runs != 1:
+        problems.append(f"runs = {c.runs}, not 1")
+    if c.events_processed != c.arrivals + c.completions + c.dyn_events:
+        problems.append(
+            f"events_processed {c.events_processed} != arrivals "
+            f"{c.arrivals} + completions {c.completions} + "
+            f"dyn_events {c.dyn_events}"
+        )
+    if c.dyn_events != n_dyn:
+        problems.append(f"dyn_events {c.dyn_events} for a schedule of {n_dyn}")
+    if c.arrivals != n_jobs:
+        problems.append(f"{c.arrivals} arrival events for {n_jobs} jobs")
+    return problems
+
+
+def _policy_state(policy) -> tuple:
+    """What a run leaves behind in a policy object: its round-robin
+    counter and its RNG's state (``None`` where it has none)."""
+    rng = getattr(policy, "rng", None)
+    return getattr(policy, "_next", None), None if rng is None else rng.bit_generator.state
+
+
+def _bounded_horizon(case: FuzzCase, base) -> float:
+    """The bounded replay's horizon, from an RNG seeded by the case
+    digest, so the case stream's own draws are untouched: half the time
+    an instant of the full run (a release, a hop completion or a dynamic
+    event, where the tie rules act), else a uniform draw from 0 to 1.25
+    times the last of them."""
+    rng = np.random.default_rng(int(case_digest(case), 16))
+    instants = [t for rec in base.records.values() for t in rec.completed_at]
+    instants += base.releases.tolist()
+    if case.events is not None:
+        instants += [ev.time for ev in case.events]
+    if rng.random() < 0.5:
+        return float(instants[int(rng.integers(len(instants)))])
+    return float(rng.uniform(0.0, 1.25 * max(instants)))
+
+
+def _check_bounded(case: FuzzCase, base) -> list[CheckFailure]:
+    """Bounded replay on both engines: the python engine's
+    ``run(until=h)`` and the kernel's, at the horizon of
+    :func:`_bounded_horizon`, must agree exactly (``==``) on the
+    records, the summary columns, both integrals and the policy object's
+    RNG / round-robin state, and the kernel's counters must pass the
+    counters identities for the jobs and events the horizon admits."""
+    from repro.sim.backends.c_backend import CEngine
+
+    until = _bounded_horizon(case, base)
+    py_policy, c_policy = case.policy(), case.policy()
+    options = dict(
+        priority=case.priority_fn(), events=case.events, collect_counters=True
+    )
+    try:
+        ref = Engine(case.instance, py_policy, case.speeds(), **options).run(until=until)
+        got = CEngine(case.instance, c_policy, case.speeds(), **options).run(until=until)
+    except (TreeSchedError, AssertionError) as exc:
+        return [CheckFailure(
+            "backends", f"until={until!r}: bounded run raised {type(exc).__name__}: {exc}"
+        )]
+    problems = []
+    if got.records != ref.records:
+        differ = sorted(
+            j for j in set(ref.records) | set(got.records)
+            if ref.records.get(j) != got.records.get(j)
+        )
+        problems.append(f"records differ (engine, c): jobs {differ[:10]}")
+    for col in _COLUMNS:
+        if not np.array_equal(getattr(ref, col), getattr(got, col), equal_nan=True):
+            problems.append(f"{col} differ")
+    for label in ("fractional_flow", "alive_integral"):
+        ours, theirs = getattr(ref, label), getattr(got, label)
+        if ours != theirs:
+            problems.append(f"{label} engine {ours!r}, c {theirs!r}")
+    if _policy_state(py_policy) != _policy_state(c_policy):
+        problems.append("policy state diverged")
+    problems += _counter_problems(
+        got.counters, ref.counters.arrivals, ref.counters.dyn_events
+    )
+    return [CheckFailure("backends", f"until={until!r}: {p}") for p in problems]
 
 
 def _dt_applicable(case: FuzzCase) -> bool:

@@ -22,6 +22,7 @@ from pathlib import Path
 from repro.testing.checks import (
     ALL_CHECKS,
     BACKEND_CHECK,
+    BOUNDED,
     PLAN_OUTCOMES,
     STREAM_CHECK,
     CheckFailure,
@@ -71,10 +72,11 @@ class FuzzSummary:
     ``kernel_plans`` is ``None`` unless the run had the backend check
     on; then it maps ``(outcome, "setting/policy")`` to the number of
     cases the check saw with that plan outcome (see
-    :data:`~repro.testing.checks.PLAN_OUTCOMES`).  ``raising_sources``
-    is ``None`` unless the run had the stream check on; then it counts
-    the cases that ran a raising source, per engine (``"python"``,
-    ``"c"``).
+    :data:`~repro.testing.checks.PLAN_OUTCOMES`), and
+    ``(BOUNDED, "setting/policy")`` to those that also ran bounded.
+    ``raising_sources`` is ``None`` unless the run had the stream check
+    on; then it counts the cases that ran a raising source, per engine
+    (``"python"``, ``"c"``).
     """
 
     seed: int
@@ -108,7 +110,7 @@ class FuzzSummary:
             for (outcome, label), n in sorted(self.kernel_plans.items()):
                 by_case.setdefault(label, {})[outcome] = n
             doc["kernel"] = {
-                **{o: self.kernel_count(o) for o in PLAN_OUTCOMES},
+                **{o: self.kernel_count(o) for o in (*PLAN_OUTCOMES, BOUNDED)},
                 "by_case": by_case,
             }
         if self.raising_sources is not None:

@@ -14,6 +14,7 @@ import ctypes
 import subprocess
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -24,6 +25,7 @@ from repro.network.builders import datacenter_tree
 from repro.sim import backends, engine
 from repro.sim.backends import c_build
 from repro.sim.backends.c_backend import CEngine
+from repro.sim.counters import disable_global_counters, enable_global_counters
 from repro.sim.speed import SpeedProfile
 
 _C_OK, _C_REASON = c_build.availability()
@@ -110,10 +112,24 @@ class TestSelection:
             backends.backend_available("fortran")
 
 
+def _no_python_engine(*args, **kwargs):
+    raise AssertionError("fell back to the python engine")
+
+
+def _same_run(a, b) -> None:
+    """``a`` and ``b`` agree exactly on records, summary columns and
+    both integrals (``==`` on results would also compare counters)."""
+    assert a.records == b.records
+    for col in ("job_ids", "releases", "leaves", "completion_times", "cancel_times"):
+        np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
+    assert (a.alive_integral, a.fractional_flow) == (b.alive_integral, b.fractional_flow)
+
+
 @needs_c
 class TestFallback:
-    """Options defined in terms of the global event order, and calls the
-    kernel cannot plan, run on the python engine under ``backend="c"``."""
+    """Under ``backend="c"`` a ``sink``, and calls the kernel cannot
+    plan, run on the python engine; ``until`` and counters run on the
+    kernel."""
 
     def test_sink_falls_back(self):
         seen = []
@@ -126,20 +142,40 @@ class TestFallback:
         assert seen  # the compiled kernel has no sink hooks at all
         assert len(result.records) == 160
 
-    def test_until_falls_back(self):
-        result = _run("c", until=1.0)
-        assert len(result.records) < 160  # genuinely bounded, so python ran
+    def test_until_runs_on_the_kernel(self, monkeypatch):
+        ref = _run("python", until=80.0)
+        monkeypatch.setattr(engine, "simulate", _no_python_engine)
+        result = _run("c", until=80.0)
+        assert 0 < len(result.records) < 160  # genuinely bounded
+        assert result.unfinished_job_ids()
+        _same_run(result, ref)
 
-    def test_counters_fall_back(self):
+    def test_counters_run_on_the_kernel(self, monkeypatch):
+        ref = _run("python", collect_counters=True)
+        monkeypatch.setattr(engine, "simulate", _no_python_engine)
         result = _run("c", collect_counters=True)
+        _same_run(result, ref)
+        c = result.counters
+        assert (c.runs, c.arrivals, c.dyn_events) == (1, 160, 0)
+        assert c.events_processed == c.arrivals + c.completions == result.num_events
+        assert c.run_seconds > 0.0
+        assert c.heap_pushes == c.settle_calls == 0  # tallies the kernel lacks
+
+    def test_global_counters_run_on_the_kernel(self, monkeypatch):
+        ref = _run("python")
+        monkeypatch.setattr(engine, "simulate", _no_python_engine)
+        aggregate = enable_global_counters()
+        try:
+            result = _run("c")
+        finally:
+            disable_global_counters()
+        _same_run(result, ref)
         assert result.counters is not None
-        assert result.counters.arrivals == 160
+        assert (aggregate.runs, aggregate.arrivals) == (1, 160)
+        assert aggregate.events_processed == result.counters.events_processed
 
     def test_plain_c_call_does_not_fall_back(self, monkeypatch):
-        def python_engine(*args, **kwargs):
-            raise AssertionError("fell back to the python engine")
-
-        monkeypatch.setattr(engine, "simulate", python_engine)
+        monkeypatch.setattr(engine, "simulate", _no_python_engine)
         result = _run("c")
         assert result.counters is None
         assert len(result.records) == 160

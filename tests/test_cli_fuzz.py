@@ -58,6 +58,7 @@ def test_backends_summary_counts_kernel_plans(tmp_path, capsys):
     kernel = json.loads(capsys.readouterr().out)["kernel"]
     by_case = kernel["by_case"]
     assert kernel["planned"] == 40  # every case reached the kernel
+    assert kernel["bounded"] == 40  # and ran bounded on both engines too
     assert kernel["declined"] == kernel["unavailable"] == 0
     assert sum(c.get("planned", 0) for c in by_case.values()) == 40
     # The smoke deck's unrelated-endpoint greedy case runs on the kernel.
@@ -75,7 +76,7 @@ def test_declined_cases_are_counted(tmp_path, monkeypatch):
     assert summary.ok
     expected = "declined" if c_build.availability()[0] else "unavailable"
     assert summary.kernel_count(expected) == 12
-    assert summary.kernel_count("planned") == 0
+    assert summary.kernel_count("planned") == summary.kernel_count("bounded") == 0
     assert summary.to_doc()["kernel"][expected] == 12
 
 

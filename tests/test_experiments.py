@@ -141,10 +141,10 @@ def test_renders_match_across_backends(monkeypatch):
     kernel_runs = 0
     kernel_run = CEngine.run
 
-    def counting_run(self):
+    def counting_run(self, **options):
         nonlocal kernel_runs
         kernel_runs += 1
-        return kernel_run(self)
+        return kernel_run(self, **options)
 
     monkeypatch.setattr(CEngine, "run", counting_run)
 
